@@ -25,7 +25,7 @@ from .perturb import (
     perturb_potential,
     perturb_weight,
 )
-from .poisson import PoissonConvergenceError, PoissonSolver
+from .poisson import PoissonSolver
 from .problems import ProblemData, ValidationReport, example1, validate
 from .stability import (
     BoundCheck,

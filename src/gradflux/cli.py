@@ -10,7 +10,7 @@ Subcommands::
     gradflux plotdata --config cfg [--out DIR]
 
 Exit codes: 0 success, 1 usage/configuration error, 2 compute failure
-(non-convergence under --strict, or an iterative solve giving up).
+(non-convergence under --strict).
 
 Every CSV embeds the fully resolved configuration as '#' comment lines, so
 any run can be replayed from its own output.  Two invocations with the same
@@ -27,15 +27,23 @@ from pathlib import Path
 import numpy as np
 
 from .bregman import SolverConfig, solve
-from .config import RunConfig, UsageError, build_config, parse_config_file, resolved_lines
+from .config import (
+    RunConfig,
+    UsageError,
+    _fmt,
+    build_config,
+    parse_config_file,
+    resolved_lines,
+)
 from .duality import Certificate, certify
 from .fieldio import FieldFormatError, read_field_meta, write_field
 from .grid import GridSpec, ScalarField, VectorField, gradient
 from .levelset import level_set_lengths
 from .perturb import apply_table1_noise
-from .poisson import PoissonConvergenceError, PoissonSolver
+from .poisson import PoissonSolver
 from .problems import ProblemData, example1
 from .stability import (
+    REPORT_COLUMNS,
     SWEEP_COLUMNS,
     StabilityReport,
     SweepSpec,
@@ -45,29 +53,10 @@ from .stability import (
 
 __all__ = ["main"]
 
-REPORT_COLUMNS = (
-    "eps",
-    "seed",
-    "err_u_l1",
-    "err_gradu_l1",
-    "err_sigma_l1",
-    "err_J_l1",
-    "energy_diff",
-    "misalignment",
-    "iters",
-    "rel_l2",
-)
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); usage errors are exit 1
         raise UsageError(message)
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.17g}"
-    return str(v)
 
 
 def _write_csv(path: Path, comments, columns, rows) -> None:
@@ -110,6 +99,13 @@ def _solver_config(cfg: RunConfig, record_history: bool = False) -> SolverConfig
     return SolverConfig(
         lam=cfg.lam, tol=cfg.tol, max_iter=cfg.max_iter, record_history=record_history
     )
+
+
+def _read_u_file(cfg: RunConfig, grid: GridSpec) -> ScalarField:
+    u, _, _ = read_field_meta(cfg.u_file)
+    if u.grid != grid:
+        raise UsageError(f"grid mismatch: u_file has n={u.grid.n}, problem has n={grid.n}")
+    return u
 
 
 def _write_certificate(out: Path, cert: Certificate, comments) -> None:
@@ -156,31 +152,11 @@ def _cmd_certify(cfg: RunConfig, out: Path, strict: bool) -> int:
     if cfg.u_file is None:
         raise UsageError("certify needs key 'u_file' (the solution field to check)")
     p = _build_problem(cfg)
-    u, _, _ = read_field_meta(cfg.u_file)
-    if u.grid != p.grid:
-        raise UsageError(
-            f"grid mismatch: u_file has n={u.grid.n}, problem has n={p.grid.n}"
-        )
+    u = _read_u_file(cfg, p.grid)
     if np.abs(u.boundary_values()).max() != 0.0:
         raise UsageError("solution in u_file must vanish on the boundary")
     _write_certificate(out, certify(u, p, cfg.eta), resolved_lines(cfg, "certify"))
     return 0
-
-
-def _report_rows(report: StabilityReport):
-    for r in report.rows:
-        yield (
-            r.eps,
-            r.seed,
-            r.err_u_l1,
-            r.err_gradu_l1,
-            r.err_sigma_l1,
-            r.err_J_l1,
-            r.energy_diff,
-            r.misalignment,
-            r.iters,
-            r.rel_l2,
-        )
 
 
 def _sweep_summary(report: StabilityReport) -> list[str]:
@@ -222,7 +198,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     )
     report = run_sweep(p, spec)
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report)
-    _write_csv(out / "sweep.csv", comments, REPORT_COLUMNS, _report_rows(report))
+    rows = [tuple(r.column(c) for c in REPORT_COLUMNS) for r in report.rows]
+    _write_csv(out / "sweep.csv", comments, REPORT_COLUMNS, rows)
     bad = [r for r in report.rows if not r.valid]
     if bad:
         print(f"gradflux: {len(bad)} sweep row(s) did not converge", file=sys.stderr)
@@ -244,11 +221,10 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
             f"max_err = {report.max_err[d]:.17g}"
         )
     comments.append("note: err_* columns apply to perturbation sweeps; table1 rows carry nan")
-    nan = float("nan")
-    rows = [
-        (r.delta, r.seed, nan, nan, nan, nan, nan, nan, r.iters, r.rel_l2)
-        for r in report.rows
-    ]
+    rows = []
+    for r in report.rows:
+        known = {"eps": r.delta, "seed": r.seed, "iters": r.iters, "rel_l2": r.rel_l2}
+        rows.append(tuple(known.get(c, float("nan")) for c in REPORT_COLUMNS))
     _write_csv(out / "table1.csv", comments, REPORT_COLUMNS, rows)
     bad = [r for r in report.rows if not r.converged]
     if bad:
@@ -261,11 +237,7 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
 def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
     p = _build_problem(cfg)
     if cfg.u_file is not None:
-        u, _, _ = read_field_meta(cfg.u_file)
-        if u.grid != p.grid:
-            raise UsageError(
-                f"grid mismatch: u_file has n={u.grid.n}, problem has n={p.grid.n}"
-            )
+        u = _read_u_file(cfg, p.grid)
     elif p.exact_u is not None:
         u = p.exact_u
     else:
@@ -393,9 +365,6 @@ def main(argv=None) -> int:
     except (UsageError, FieldFormatError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
         return 1
-    except PoissonConvergenceError as exc:
-        print(f"gradflux: {exc}", file=sys.stderr)
-        return 2
 
 
 if __name__ == "__main__":

@@ -12,6 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from pathlib import Path
 
+import numpy as np
+
+from .perturb import check_param_mode
+
 __all__ = ["UsageError", "RunConfig", "parse_config_file", "build_config"]
 
 
@@ -158,10 +162,10 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
         raise UsageError("key 'deltas' must be nonnegative")
     if any(s < 0 for s in cfg.seeds):
         raise UsageError("key 'seeds' must be nonnegative integers")
-    if cfg.param not in ("a", "f", "H", "combined"):
-        raise UsageError("key 'param' must be one of a, f, H, combined")
-    if cfg.mode not in ("constant-shift", "smooth-bump", "noise"):
-        raise UsageError("key 'mode' must be one of constant-shift, smooth-bump, noise")
+    try:
+        check_param_mode(cfg.param, cfg.mode)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if cfg.problem not in ("example1", "files"):
         raise UsageError("key 'problem' must be example1 or files")
     if any(e < 0 for e in cfg.epsilons):
@@ -199,6 +203,6 @@ def resolved_lines(cfg: RunConfig, command: str) -> list[str]:
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):
+    if isinstance(v, (float, np.floating)):
         return f"{v:.17g}"
     return str(v)

@@ -9,6 +9,7 @@ write reproduces the file byte for byte.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,7 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
     if n < 2:
         raise FieldFormatError(f"{path}:1: header n={n} is below the minimum of 2")
     values: list[float] = []
+    line_ends: list[int] = []  # len(values) after each data line
     for lineno, line in enumerate(lines[1:], start=2):
         for tok in line.split():
             try:
@@ -61,13 +63,19 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
                 raise FieldFormatError(
                     f"{path}:{lineno}: cannot parse value {tok!r}"
                 ) from None
+        line_ends.append(len(values))
     expected = (n + 1) * (n + 1)
     if len(values) != expected:
         raise FieldFormatError(
             f"{path}: header announces n={n} ({expected} values) but file holds "
             f"{len(values)}"
         )
-    arr = np.array(values).reshape(n + 1, n + 1)
+    arr = np.array(values)
+    bad = np.flatnonzero(~np.isfinite(arr))
+    if bad.size:
+        lineno = 2 + bisect_right(line_ends, bad[0])
+        raise FieldFormatError(f"{path}:{lineno}: non-finite value {float(arr[bad[0]])!r}")
+    arr = arr.reshape(n + 1, n + 1)
     return ScalarField(GridSpec(n), arr), kind, problem
 
 

@@ -33,10 +33,27 @@ __all__ = [
     "make_perturbed",
     "apply_table1_noise",
     "measure_sizes",
+    "check_param_mode",
 ]
 
 PARAMS = ("a", "f", "H", "combined")
 MODES = ("constant-shift", "smooth-bump", "noise")
+
+
+def check_param_mode(param: str, mode: str) -> None:
+    """Reject a sweep parameter/mode pair that :func:`make_perturbed` cannot build."""
+    if param not in PARAMS:
+        raise ValueError(
+            f"unknown sweep parameter {param!r}: param must be one of {', '.join(PARAMS)}"
+        )
+    if mode not in MODES:
+        raise ValueError(
+            f"unknown perturbation mode {mode!r}: mode must be one of {', '.join(MODES)}"
+        )
+    if mode == "noise" and param not in ("a", "H"):
+        raise ValueError(
+            f"mode = noise perturbs only the scalar data: param must be a or H, got {param!r}"
+        )
 
 
 @dataclass(frozen=True)
@@ -129,8 +146,14 @@ class PerturbedProblem:
     measured_sizes: dict[str, float]
 
 
-def measure_sizes(base: ProblemData, perturbed: ProblemData, applied) -> dict[str, float]:
-    """Recompute the perturbation norms the stability theory is stated in."""
+def measure_sizes(
+    base: ProblemData, perturbed: ProblemData, applied, epsilon: float
+) -> dict[str, float]:
+    """Recompute the perturbation norms the stability theory is stated in.
+
+    ``epsilon`` is the amplitude of the potential bump; it gives f's W^{1,1}
+    size when the perturbed instance carries no potential to measure.
+    """
     sizes: dict[str, float] = {}
     if "a" in applied:
         sizes["a_linf"] = norm(base.a - perturbed.a, "linf")
@@ -142,23 +165,12 @@ def measure_sizes(base: ProblemData, perturbed: ProblemData, applied) -> dict[st
         f0 = base.potential_f if base.potential_f is not None else ScalarField.zeros(base.grid)
         f1 = perturbed.potential_f
         if f1 is None:
-            # reconstruct the bump amplitude from the drift increment
-            df = perturbed.F - base.F
-            sizes["f_w11"] = sizes["F_l1"] + _bump_l1_from_drift(base.grid, df)
+            bump = ScalarField(base.grid, _bump(base.grid))
+            sizes["f_w11"] = sizes["F_l1"] + abs(epsilon) * norm(bump, "l1")
         else:
             diff = f1 - f0
             sizes["f_w11"] = norm(diff, "l1") + norm(gradient(diff), "l1")
     return sizes
-
-
-def _bump_l1_from_drift(grid: GridSpec, df: VectorField) -> float:
-    # The bump amplitude is |df|_inf / |grad bump|_inf; its L1 then scales the bump L1.
-    gb = gradient(ScalarField(grid, _bump(grid)))
-    denom = norm(gb, "linf")
-    if denom == 0.0:
-        return 0.0
-    amp = norm(df, "linf") / denom
-    return amp * norm(ScalarField(grid, _bump(grid)), "l1")
 
 
 def _perturb_drift_conservatively(p: ProblemData, epsilon: float):
@@ -190,15 +202,9 @@ def make_perturbed(
     perturbations for a or H at level epsilon and needs a seed.  The base
     instance's exact solution is carried over for error reporting.
     """
-    if param not in PARAMS:
-        raise ValueError(f"unknown sweep parameter {param!r}; expected one of {PARAMS}")
-    if mode not in MODES:
-        raise ValueError(f"unknown perturbation mode {mode!r}; expected one of {MODES}")
-    if mode == "noise":
-        if param not in ("a", "H"):
-            raise ValueError("stochastic mode only applies to the scalar data a or H")
-        if seed is None:
-            raise ValueError("stochastic mode needs a seed")
+    check_param_mode(param, mode)
+    if mode == "noise" and seed is None:
+        raise ValueError("stochastic mode needs a seed")
 
     a, F, H = base.a, base.F, base.H
     potential = base.potential_f
@@ -232,7 +238,7 @@ def make_perturbed(
         base=base,
         perturbed=perturbed,
         applied=frozenset(applied),
-        measured_sizes=measure_sizes(base, perturbed, applied),
+        measured_sizes=measure_sizes(base, perturbed, applied, epsilon),
     )
 
 

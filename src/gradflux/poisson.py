@@ -1,11 +1,10 @@
-"""Solvers for the discrete Dirichlet Poisson problem.
+"""Solver for the discrete Dirichlet Poisson problem.
 
 ``solve_dirichlet`` returns the field vanishing on the boundary whose 5-point
 Laplacian (the divergence-of-gradient composition from :mod:`gradflux.grid`)
-matches the right-hand side at every interior node.  The default method
-diagonalizes the interior operator with the type-I discrete sine transform,
-making the solve exact up to roundoff in O(n^2 log n); a matrix-free
-conjugate-gradient method is kept as an independent cross-check.
+matches the right-hand side at every interior node.  It diagonalizes the
+interior operator with the type-I discrete sine transform, making the solve
+exact up to roundoff in O(n^2 log n).
 """
 
 from __future__ import annotations
@@ -18,21 +17,7 @@ import scipy.fft
 
 from .grid import GridSpec, ScalarField
 
-__all__ = ["PoissonSolver", "PoissonConvergenceError"]
-
-METHODS = ("fast-transform", "conjugate-gradient")
-
-
-class PoissonConvergenceError(RuntimeError):
-    """Iterative solve stopped at its iteration cap before reaching tolerance."""
-
-    def __init__(self, residual: float, iterations: int):
-        super().__init__(
-            f"conjugate gradient reached {iterations} iterations with relative "
-            f"residual {residual:.3e}"
-        )
-        self.residual = residual
-        self.iterations = iterations
+__all__ = ["PoissonSolver"]
 
 
 @dataclass(frozen=True)
@@ -40,15 +25,6 @@ class PoissonSolver:
     """Immutable solver bound to one grid; safe for concurrent solves."""
 
     grid: GridSpec
-    method: str = "fast-transform"
-    tolerance: float = 1e-10
-    cg_max_iter: int | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.tolerance <= 0:
-            raise ValueError("tolerance must be positive")
 
     @cached_property
     def _eigenvalues(self) -> np.ndarray:
@@ -71,42 +47,8 @@ class PoissonSolver:
                 f"(n={self.grid.n})"
             )
         f = rhs.values[1:-1, 1:-1]
-        if self.method == "fast-transform":
-            fh = scipy.fft.dstn(f, type=1, norm="ortho")
-            ui = scipy.fft.dstn(fh / self._eigenvalues, type=1, norm="ortho")
-        else:
-            ui = self._solve_cg(f)
+        fh = scipy.fft.dstn(f, type=1, norm="ortho")
+        ui = scipy.fft.dstn(fh / self._eigenvalues, type=1, norm="ortho")
         out = np.zeros(self.grid.shape)
         out[1:-1, 1:-1] = ui
         return ScalarField(self.grid, out)
-
-    def _apply_neg_laplacian(self, x: np.ndarray) -> np.ndarray:
-        p = np.pad(x, 1)
-        return (4.0 * x - p[:-2, 1:-1] - p[2:, 1:-1] - p[1:-1, :-2] - p[1:-1, 2:]) / (
-            self.grid.h ** 2
-        )
-
-    def _solve_cg(self, f: np.ndarray) -> np.ndarray:
-        # Plain CG on the SPD operator -laplacian; deterministic by construction.
-        b = -f
-        bnorm = np.sqrt((b * b).sum())
-        if bnorm == 0.0:
-            return np.zeros_like(b)
-        cap = self.cg_max_iter if self.cg_max_iter is not None else 20 * self.grid.n + 200
-        x = np.zeros_like(b)
-        r = b.copy()
-        p = r.copy()
-        rs = (r * r).sum()
-        for _ in range(cap):
-            if np.sqrt(rs) <= self.tolerance * bnorm:
-                return x
-            ap = self._apply_neg_laplacian(p)
-            alpha = rs / (p * ap).sum()
-            x += alpha * p
-            r -= alpha * ap
-            rs_new = (r * r).sum()
-            p = r + (rs_new / rs) * p
-            rs = rs_new
-        if np.sqrt(rs) <= self.tolerance * bnorm:
-            return x
-        raise PoissonConvergenceError(float(np.sqrt(rs) / bnorm), cap)

@@ -26,7 +26,7 @@ import numpy as np
 from .bregman import SolveResult, SolverConfig, solve
 from .duality import FluxPair, flux, primal_energy
 from .grid import GridSpec, gradient, norm
-from .perturb import make_perturbed, apply_table1_noise
+from .perturb import apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
 from .problems import ProblemData, example1
 
@@ -43,6 +43,7 @@ __all__ = [
     "run_sweep",
     "table1_experiment",
     "SWEEP_COLUMNS",
+    "REPORT_COLUMNS",
     "RATE_EXPONENTS",
     "SLOPE_THRESHOLDS",
 ]
@@ -55,6 +56,8 @@ SWEEP_COLUMNS = (
     "energy_diff",
     "misalignment",
 )
+# Schema of the sweep and table1 CSVs; table1 rows carry nan in the sweep columns.
+REPORT_COLUMNS = ("eps", "seed", *SWEEP_COLUMNS, "iters", "rel_l2")
 
 # Theoretical decay exponents and the acceptance slopes for the rate columns.
 RATE_EXPONENTS = {
@@ -78,8 +81,7 @@ class SweepSpec:
     eta: float = 1e-8
 
     def __post_init__(self):
-        if self.param not in ("a", "f", "H", "combined"):
-            raise ValueError(f"unknown sweep parameter {self.param!r}")
+        check_param_mode(self.param, self.mode)
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValueError("epsilon list must not be empty")

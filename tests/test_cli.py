@@ -59,6 +59,12 @@ class TestConfigParsing:
             build_config({"lambda": "0"}, "solve")
         with pytest.raises(UsageError, match="decreasing"):
             build_config({"epsilons": "0.01, 0.02"}, "sweep")
+        with pytest.raises(UsageError, match="param must be one of"):
+            build_config({"param": "b"}, "sweep")
+        with pytest.raises(UsageError, match="mode must be one of"):
+            build_config({"mode": "bogus"}, "sweep")
+        with pytest.raises(UsageError, match="param must be a or H"):
+            build_config({"param": "f", "mode": "noise"}, "sweep")
 
     def test_empty_list_rejected(self):
         with pytest.raises(UsageError, match="non-empty"):
@@ -129,6 +135,18 @@ class TestCertifyCommand:
         )
         assert main(["certify", "--config", ccfg, "--out", str(tmp_path / "o")]) == 1
         assert "grid mismatch" in capsys.readouterr().err
+
+    def test_non_finite_u_file_reported(self, tmp_path, capsys):
+        upath = tmp_path / "u.field"
+        write_field(example1(GridSpec(4)).exact_u, upath)
+        lines = upath.read_text().splitlines()
+        lines[3] = "0 0.5 nan 0.5 0"
+        upath.write_text("\n".join(lines) + "\n")
+        ccfg = write_cfg(
+            tmp_path / "cert.cfg", problem="example1", n=4, u_file=str(upath)
+        )
+        assert main(["certify", "--config", ccfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"gradflux: {upath}:4: non-finite value nan" in capsys.readouterr().err
 
     def test_missing_u_file_key(self, tmp_path, capsys):
         ccfg = write_cfg(tmp_path / "cert.cfg", problem="example1", n=32)
@@ -203,6 +221,17 @@ class TestSweepCommand:
         cfg.write_text("problem = example1\nepsilons =\n")
         assert main(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "epsilons" in capsys.readouterr().err
+
+
+    def test_noise_mode_on_drift_rejected_before_solve(self, tmp_path, capsys):
+        cfg = write_cfg(
+            tmp_path / "sweep.cfg", problem="example1", n=20, param="f", mode="noise"
+        )
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "mode = noise" in err and "param" in err
+        assert not out.exists()
 
 
 class TestTable1Command:

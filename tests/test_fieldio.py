@@ -67,6 +67,16 @@ def test_bad_token_names_line(tmp_path):
         read_field(path)
 
 
+def test_non_finite_value_names_line(tmp_path):
+    path = tmp_path / "nan.field"
+    path.write_text("gradflux-field n=2 kind=u problem=t\n1 2 3\n4 5 6\n7 nan 9\n")
+    with pytest.raises(FieldFormatError, match=r"nan\.field:4: non-finite value nan"):
+        read_field(path)
+    path.write_text("gradflux-field n=2 kind=u problem=t\n1 2 3\n4 inf 6\n7 8 9\n")
+    with pytest.raises(FieldFormatError, match=":3: non-finite value inf"):
+        read_field(path)
+
+
 def test_whitespace_in_tags_rejected(tmp_path):
     p = example1(GridSpec(4))
     with pytest.raises(ValueError, match="whitespace"):

@@ -142,7 +142,7 @@ class TestPerturbPotential:
 class TestMakePerturbed:
     def test_measured_sizes_recomputable(self, prob100):
         pp = make_perturbed(prob100, "combined", 0.03, "smooth-bump")
-        again = measure_sizes(pp.base, pp.perturbed, pp.applied)
+        again = measure_sizes(pp.base, pp.perturbed, pp.applied, 0.03)
         for key, value in again.items():
             assert pp.measured_sizes[key] == pytest.approx(value, rel=1e-12)
         assert pp.applied == frozenset({"a", "f", "H"})

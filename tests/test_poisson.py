@@ -1,14 +1,7 @@
 import numpy as np
 import pytest
 
-from gradflux import (
-    GridSpec,
-    PoissonConvergenceError,
-    PoissonSolver,
-    ScalarField,
-    laplacian,
-    norm,
-)
+from gradflux import GridSpec, PoissonSolver, ScalarField, laplacian, norm
 
 
 def manufactured(n):
@@ -17,6 +10,35 @@ def manufactured(n):
     exact = ScalarField.from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
     rhs = -2.0 * np.pi**2 * exact
     return g, rhs, exact
+
+
+def cg_oracle(rhs, tolerance=1e-10):
+    """Plain matrix-free CG on -laplacian(u) = -rhs, an independent reference."""
+    g = rhs.grid
+
+    def neg_laplacian(x):
+        p = np.pad(x, 1)
+        return (4.0 * x - p[:-2, 1:-1] - p[2:, 1:-1] - p[1:-1, :-2] - p[1:-1, 2:]) / g.h**2
+
+    b = -rhs.values[1:-1, 1:-1]
+    bnorm = np.sqrt((b * b).sum())
+    x = np.zeros_like(b)
+    r = b.copy()
+    p = r.copy()
+    rs = (r * r).sum()
+    for _ in range(20 * g.n + 200):
+        if np.sqrt(rs) <= tolerance * bnorm:
+            break
+        ap = neg_laplacian(p)
+        alpha = rs / (p * ap).sum()
+        x += alpha * p
+        r -= alpha * ap
+        rs_new = (r * r).sum()
+        p = r + (rs_new / rs) * p
+        rs = rs_new
+    else:
+        raise AssertionError(f"CG oracle stalled at relative residual {np.sqrt(rs) / bnorm:.3e}")
+    return ScalarField(g, np.pad(x, 1))
 
 
 def test_zero_rhs_gives_zero_solution():
@@ -73,8 +95,8 @@ def test_methods_agree():
     g = GridSpec(32)
     rng = np.random.default_rng(9)
     rhs = ScalarField(g, rng.standard_normal(g.shape))
-    ft = PoissonSolver(g, method="fast-transform").solve_dirichlet(rhs)
-    cg = PoissonSolver(g, method="conjugate-gradient").solve_dirichlet(rhs)
+    ft = PoissonSolver(g).solve_dirichlet(rhs)
+    cg = cg_oracle(rhs)
     assert norm(ft - cg, "l2") <= 1e-8 * norm(ft, "l2")
 
 
@@ -91,17 +113,3 @@ def test_grid_mismatch_is_usage_error():
     with pytest.raises(ValueError, match="does not match"):
         solver.solve_dirichlet(ScalarField.zeros(GridSpec(17)))
 
-
-def test_cg_iteration_cap_reports_residual():
-    g = GridSpec(32)
-    rhs = ScalarField(g, np.random.default_rng(4).standard_normal(g.shape))
-    solver = PoissonSolver(g, method="conjugate-gradient", cg_max_iter=2)
-    with pytest.raises(PoissonConvergenceError) as exc:
-        solver.solve_dirichlet(rhs)
-    assert exc.value.residual > 0
-    assert exc.value.iterations == 2
-
-
-def test_unknown_method_rejected():
-    with pytest.raises(ValueError):
-        PoissonSolver(GridSpec(8), method="multigrid")

@@ -72,6 +72,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="parameter"):
             SweepSpec(param="b", epsilons=(0.1,))
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode"):
+            SweepSpec(param="a", epsilons=(0.1,), mode="bogus")
+
+    def test_noise_mode_on_drift_rejected(self):
+        with pytest.raises(ValueError, match="param must be a or H"):
+            SweepSpec(param="f", epsilons=(0.1,), mode="noise", seeds=(0,))
+
     def test_noise_mode_needs_seeds(self):
         with pytest.raises(ValueError, match="seed"):
             SweepSpec(param="a", epsilons=(0.1,), mode="noise")
