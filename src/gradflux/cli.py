@@ -39,7 +39,7 @@ from .duality import Certificate, certify
 from .fieldio import FieldFormatError, read_field_meta, write_field
 from .grid import GridSpec, ScalarField, VectorField, gradient
 from .levelset import level_set_lengths
-from .perturb import apply_table1_noise
+from .perturb import NoiseScaleError, apply_table1_noise
 from .poisson import PoissonSolver
 from .problems import ProblemData, example1
 from .stability import (
@@ -114,6 +114,14 @@ def _write_certificate(out: Path, cert: Certificate, comments) -> None:
     _write_csv(out / "certificate.csv", comments, tuple(d), [tuple(d.values())])
 
 
+def _nonconvergence_status(failed: bool, message: str, strict: bool) -> int:
+    """Report non-convergence on stderr; it is fatal (exit 2) only under --strict."""
+    if not failed:
+        return 0
+    print(f"gradflux: {message}", file=sys.stderr)
+    return 2 if strict else 0
+
+
 def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
     p = _build_problem(cfg)
     exact = p.exact_u
@@ -137,15 +145,11 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
     )
     _write_certificate(out, certify(res.state.u, p, cfg.eta), comments)
 
-    if not res.converged:
-        print(
-            f"gradflux: solve stopped at max_iter={cfg.max_iter} without meeting "
-            f"tol={cfg.tol:g}",
-            file=sys.stderr,
-        )
-        if strict:
-            return 2
-    return 0
+    return _nonconvergence_status(
+        not res.converged,
+        f"solve stopped at max_iter={cfg.max_iter} without meeting tol={cfg.tol:g}",
+        strict,
+    )
 
 
 def _cmd_certify(cfg: RunConfig, out: Path, strict: bool) -> int:
@@ -200,12 +204,8 @@ def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report)
     rows = [tuple(r.column(c) for c in REPORT_COLUMNS) for r in report.rows]
     _write_csv(out / "sweep.csv", comments, REPORT_COLUMNS, rows)
-    bad = [r for r in report.rows if not r.valid]
-    if bad:
-        print(f"gradflux: {len(bad)} sweep row(s) did not converge", file=sys.stderr)
-        if strict:
-            return 2
-    return 0
+    bad = sum(not r.valid for r in report.rows)
+    return _nonconvergence_status(bad > 0, f"{bad} sweep row(s) did not converge", strict)
 
 
 def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
@@ -226,12 +226,8 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
         known = {"eps": r.delta, "seed": r.seed, "iters": r.iters, "rel_l2": r.rel_l2}
         rows.append(tuple(known.get(c, float("nan")) for c in REPORT_COLUMNS))
     _write_csv(out / "table1.csv", comments, REPORT_COLUMNS, rows)
-    bad = [r for r in report.rows if not r.converged]
-    if bad:
-        print(f"gradflux: {len(bad)} table1 run(s) did not converge", file=sys.stderr)
-        if strict:
-            return 2
-    return 0
+    bad = sum(not r.converged for r in report.rows)
+    return _nonconvergence_status(bad > 0, f"{bad} table1 run(s) did not converge", strict)
 
 
 def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
@@ -362,7 +358,7 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.strict)
-    except (UsageError, FieldFormatError) as exc:
+    except (UsageError, FieldFormatError, NoiseScaleError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
         return 1
 

@@ -15,7 +15,7 @@ interior node whose divergence stencil touches a masked node.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -56,13 +56,7 @@ class Certificate:
         return "\n".join(lines) + "\n"
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "primal": self.primal,
-            "dual": self.dual,
-            "gap": self.gap,
-            "el_residual_l1": self.el_residual_l1,
-            "flux_bound_violation": self.flux_bound_violation,
-        }
+        return asdict(self)
 
 
 def flux(u: ScalarField, p: ProblemData, eta: float = 1e-8) -> FluxPair:

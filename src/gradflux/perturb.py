@@ -24,6 +24,7 @@ from .grid import GridSpec, ScalarField, VectorField, gradient, norm
 from .problems import ProblemData
 
 __all__ = [
+    "NoiseScaleError",
     "NoiseSpec",
     "PerturbedProblem",
     "noise_scalar",
@@ -56,52 +57,45 @@ def check_param_mode(param: str, mode: str) -> None:
         )
 
 
+class NoiseScaleError(ValueError):
+    """Relative noise was requested on a field that is zero everywhere."""
+
+
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise level, generator seed and the norm used to scale gamma."""
+    """Noise level and generator seed; gamma is scaled in the grid Frobenius norm."""
 
     delta: float
     seed: int
-    norm_kind: str = "l2-grid"
 
     def __post_init__(self):
         if self.delta < 0:
             raise ValueError("noise level must be nonnegative")
-        if self.norm_kind != "l2-grid":
-            raise ValueError(f"unsupported norm kind {self.norm_kind!r}")
 
 
-def _frobenius(a: np.ndarray) -> float:
-    return float(np.sqrt((a * a).sum()))
+def _noised(values: np.ndarray, spec: NoiseSpec) -> np.ndarray:
+    """values + gamma R with gamma = delta |values|_F / |R|_F."""
+    size = np.sqrt((values * values).sum())
+    if size == 0.0:
+        raise NoiseScaleError("noise scale undefined for a zero field")
+    r = np.random.default_rng(spec.seed).standard_normal(values.shape)
+    gamma = spec.delta * size / np.sqrt((r * r).sum())
+    return values + gamma * r
 
 
 def noise_scalar(field: ScalarField, spec: NoiseSpec) -> ScalarField:
-    """field + gamma R with gamma = delta |field|_F / |R|_F; exact identity at delta=0."""
+    """Relative noise on one scalar field; exact identity at delta=0."""
     if spec.delta == 0.0:
         return field
-    size = _frobenius(field.values)
-    if size == 0.0:
-        raise ValueError("noise scale undefined for a zero field")
-    rng = np.random.default_rng(spec.seed)
-    r = rng.standard_normal(field.values.shape)
-    gamma = spec.delta * size / _frobenius(r)
-    return ScalarField(field.grid, field.values + gamma * r)
+    return ScalarField(field.grid, _noised(field.values, spec))
 
 
 def noise_vector(F: VectorField, spec: NoiseSpec) -> VectorField:
     """Joint noise over both components: one R, one gamma for the stacked field."""
     if spec.delta == 0.0:
         return F
-    stacked = np.stack([F.x.values, F.y.values])
-    size = _frobenius(stacked)
-    if size == 0.0:
-        raise ValueError("noise scale undefined for a zero field")
-    rng = np.random.default_rng(spec.seed)
-    r = rng.standard_normal(stacked.shape)
-    gamma = spec.delta * size / _frobenius(r)
-    return VectorField.from_arrays(
-        F.grid, F.x.values + gamma * r[0], F.y.values + gamma * r[1]
-    )
+    x, y = _noised(np.stack([F.x.values, F.y.values]), spec)
+    return VectorField.from_arrays(F.grid, x, y)
 
 
 def _bump(grid: GridSpec) -> np.ndarray:

@@ -10,8 +10,9 @@ checks the explicit bounds
     int |J||J~| - J.J~  <= 2 M sigma1 |F - F~|_L1
     |J - J~|_L1         <= (4 M sigma1 |Omega|)^(1/2) |F - F~|_L1^(1/2)
 
-with a 10% discretization allowance, where sigma1 is estimated as the
-largest coefficient value seen on either instance.  ``table1_experiment``
+with a 10% discretization allowance.  Each row records its own sigma1, the
+largest coefficient value on the base or the perturbed instance, and
+``sigma1_est`` is the largest over all rows.  ``table1_experiment``
 is the stochastic-noise robustness table: all three data fields are noised
 at levels delta in {0.01, 0.035, 0.06} and the relative L2 error against
 the known solution is aggregated over seeds.
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bregman import SolveResult, SolverConfig, solve
-from .duality import FluxPair, flux, primal_energy
+from .duality import flux, primal_energy
 from .grid import GridSpec, gradient, norm
-from .perturb import apply_table1_noise, check_param_mode, make_perturbed
+from .perturb import PerturbedProblem, apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
 from .problems import ProblemData, example1
 
@@ -46,6 +47,7 @@ __all__ = [
     "REPORT_COLUMNS",
     "RATE_EXPONENTS",
     "SLOPE_THRESHOLDS",
+    "BOUND_SLACK",
 ]
 
 SWEEP_COLUMNS = (
@@ -67,6 +69,8 @@ RATE_EXPONENTS = {
     "err_sigma_l1": 0.25,
 }
 SLOPE_THRESHOLDS = {0.5: 0.45, 0.25: 0.20}
+# Discretization allowance on the explicit-constant drift bounds.
+BOUND_SLACK = 0.1
 
 
 @dataclass(frozen=True)
@@ -111,7 +115,6 @@ class BoundCheck:
     holds: bool
     max_ratio: float
     constant: float
-    slack: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -140,6 +143,7 @@ class SweepRow:
     valid: bool
     measured_sizes: dict[str, float]
     excluded_fraction: float
+    sigma1: float
 
     def column(self, name: str) -> float:
         return getattr(self, name)
@@ -220,46 +224,6 @@ def _misalignment(grid: GridSpec, J0, J1) -> float:
     return _l1_interior(grid, np.maximum(integrand, 0.0))
 
 
-def _row_errors(
-    p: ProblemData,
-    base: SolveResult,
-    base_flux: FluxPair,
-    pp,
-    res: SolveResult,
-    eta: float,
-) -> dict[str, float]:
-    grid = p.grid
-    u0, u1 = base.state.u, res.state.u
-    new_flux = flux(u1, pp.perturbed, eta)
-    joint = base_flux.mask & new_flux.mask
-    g0, g1 = gradient(u0), gradient(u1)
-    grad_diff = np.hypot(g0.x.values - g1.x.values, g0.y.values - g1.y.values)
-    sigma_diff = np.abs(base_flux.sigma.values - new_flux.sigma.values)
-    excluded = 1.0 - joint[1:-1, 1:-1].mean()
-    if p.exact_u is not None:
-        rel_l2 = norm(u1 - p.exact_u, "l2") / norm(p.exact_u, "l2")
-    else:
-        rel_l2 = float("nan")
-    return {
-        "err_u_l1": norm(u1 - u0, "l1"),
-        "err_gradu_l1": _joint_l1(grid, grad_diff, joint),
-        "err_sigma_l1": _joint_l1(grid, sigma_diff, joint),
-        "err_J_l1": norm(base_flux.J - new_flux.J, "l1"),
-        "energy_diff": abs(
-            primal_energy(u0, p) - primal_energy(u1, pp.perturbed)
-        ),
-        "misalignment": _misalignment(grid, base_flux.J, new_flux.J),
-        "rel_l2": rel_l2,
-        "excluded_fraction": float(excluded),
-        "sigma1_row": float(
-            max(
-                base_flux.sigma.values.max(initial=0.0),
-                new_flux.sigma.values.max(initial=0.0),
-            )
-        ),
-    }
-
-
 def _seed_averaged(rows: list[SweepRow], column: str) -> list[tuple[float, float]]:
     by_eps: dict[float, list[float]] = {}
     for r in rows:
@@ -268,21 +232,27 @@ def _seed_averaged(rows: list[SweepRow], column: str) -> list[tuple[float, float
     return [(e, float(np.mean(v))) for e, v in sorted(by_eps.items(), reverse=True)]
 
 
-def _fit_column(rows: list[SweepRow], column: str) -> RateFit | None:
-    pts = [(e, v) for e, v in _seed_averaged(rows, column) if e > 0 and v > 0]
-    if len(pts) < 2:
-        return None
-    return fit_rate(pts)
+def _positive(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
+    return [(e, v) for e, v in pts if e > 0 and v > 0]
 
 
-def _shape_check(rows: list[SweepRow], column: str, q: float) -> ShapeCheck:
-    pts = _seed_averaged(rows, column)  # sorted by decreasing eps
+def _fit_points(pts: list[tuple[float, float]]) -> RateFit | None:
+    positive = _positive(pts)
+    return fit_rate(positive) if len(positive) >= 2 else None
+
+
+def _shape_check(
+    column: str, q: float, pts: list[tuple[float, float]], fit: RateFit | None
+) -> ShapeCheck:
+    """Monotonicity, slope and rate-normalised ratio of one seed-averaged column.
+
+    ``pts`` is sorted by decreasing eps and ``fit`` is its rate fit.
+    """
     vals = [v for _, v in pts]
     non_increasing = all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
-    fit = _fit_column(rows, column)
     slope = fit.slope if fit is not None else None
     slope_ok = slope is not None and slope >= SLOPE_THRESHOLDS[q] - 1e-12
-    positive = [(e, v) for e, v in pts if e > 0 and v > 0]
+    positive = _positive(pts)
     if len(positive) >= 2:
         e_large, v_large = positive[0]
         e_small, v_small = positive[-1]
@@ -301,21 +271,17 @@ def _shape_check(rows: list[SweepRow], column: str, q: float) -> ShapeCheck:
     )
 
 
-def _drift_bounds(rows: list[SweepRow], M: float, slack: float = 0.1) -> list[BoundCheck]:
+def _drift_bounds(rows: list[SweepRow], M: float, sigma1: float) -> list[BoundCheck]:
     """Explicit-constant checks for conservative drift perturbations."""
     ratios = {"energy_vs_drift": [], "misalignment_vs_drift": [], "flux_vs_drift_sqrt": []}
-    sigma1 = max((r.measured_sizes.get("sigma1_row", 0.0) for r in rows), default=0.0)
     for r in rows:
-        if not r.valid or r.eps == 0:
-            continue
-        dF = r.measured_sizes.get("F_l1")
-        s1 = r.measured_sizes.get("sigma1_row", sigma1)
-        if not dF:
+        dF = r.measured_sizes["F_l1"]
+        if not r.valid or r.eps == 0 or not dF:
             continue
         ratios["energy_vs_drift"].append(r.energy_diff / (M * dF))
-        ratios["misalignment_vs_drift"].append(r.misalignment / (2.0 * M * s1 * dF))
+        ratios["misalignment_vs_drift"].append(r.misalignment / (2.0 * M * r.sigma1 * dF))
         ratios["flux_vs_drift_sqrt"].append(
-            r.err_J_l1 / (np.sqrt(4.0 * M * s1 * 1.0) * np.sqrt(dF))
+            r.err_J_l1 / (np.sqrt(4.0 * M * r.sigma1 * 1.0) * np.sqrt(dF))
         )
     constants = {
         "energy_vs_drift": M,
@@ -328,10 +294,9 @@ def _drift_bounds(rows: list[SweepRow], M: float, slack: float = 0.1) -> list[Bo
         checks.append(
             BoundCheck(
                 name=name,
-                holds=worst <= 1.0 + slack,
+                holds=worst <= 1.0 + BOUND_SLACK,
                 max_ratio=float(worst),
                 constant=constants[name],
-                slack=slack,
             )
         )
     return checks
@@ -345,48 +310,68 @@ def run_sweep(
 ) -> StabilityReport:
     """Solve the base instance once, then one perturbed solve per (eps, seed).
 
-    Gradient and coefficient differences are restricted to nodes unmasked in
-    both flux constructions; the excluded fraction is recorded per row.
-    Rows whose inner solve fails to converge are kept but marked invalid and
-    excluded from fits and bound checks.
+    Every perturbed instance is built before the first solve, so data that
+    cannot be perturbed is rejected without solver work.  Gradient and
+    coefficient differences are restricted to nodes unmasked in both flux
+    constructions; the excluded fraction is recorded per row.  Rows whose
+    inner solve fails to converge are kept but marked invalid and excluded
+    from fits and bound checks.
     """
+    seeds: tuple[int | None, ...] = spec.seeds if spec.mode == "noise" else (None,)
+    instances = [
+        (eps, seed, make_perturbed(p, spec.param, eps, spec.mode, seed))
+        for eps in spec.epsilons
+        for seed in seeds
+    ]
     poisson = poisson or PoissonSolver(p.grid)
     base = base or solve(p, spec.solver, poisson)
     if not base.converged:
         raise RuntimeError("base solve did not converge; cannot anchor the sweep")
-    base_flux = flux(base.state.u, p, spec.eta)
+    grid = p.grid
+    u0 = base.state.u
+    base_flux = flux(u0, p, spec.eta)
+    g0 = gradient(u0)
+    e0 = primal_energy(u0, p)
+    sigma0 = base_flux.sigma.values.max(initial=0.0)
 
-    seeds: tuple[int | None, ...] = spec.seeds if spec.mode == "noise" else (None,)
-    rows: list[SweepRow] = []
-    for eps in spec.epsilons:
-        for seed in seeds:
-            pp = make_perturbed(p, spec.param, eps, spec.mode, seed)
-            res = solve(pp.perturbed, spec.solver, poisson)
-            errs = _row_errors(p, base, base_flux, pp, res, spec.eta)
-            sizes = dict(pp.measured_sizes)
-            sizes["sigma1_row"] = errs.pop("sigma1_row")
-            rows.append(
-                SweepRow(
-                    eps=eps,
-                    seed=-1 if seed is None else seed,
-                    err_u_l1=errs["err_u_l1"],
-                    err_gradu_l1=errs["err_gradu_l1"],
-                    err_sigma_l1=errs["err_sigma_l1"],
-                    err_J_l1=errs["err_J_l1"],
-                    energy_diff=errs["energy_diff"],
-                    misalignment=errs["misalignment"],
-                    iters=res.iterations,
-                    rel_l2=errs["rel_l2"],
-                    valid=res.converged,
-                    measured_sizes=sizes,
-                    excluded_fraction=errs["excluded_fraction"],
-                )
-            )
+    def measure(eps: float, seed: int | None, pp: PerturbedProblem) -> SweepRow:
+        res = solve(pp.perturbed, spec.solver, poisson)
+        u1 = res.state.u
+        new_flux = flux(u1, pp.perturbed, spec.eta)
+        joint = base_flux.mask & new_flux.mask
+        g1 = gradient(u1)
+        grad_diff = np.hypot(g0.x.values - g1.x.values, g0.y.values - g1.y.values)
+        sigma_diff = np.abs(base_flux.sigma.values - new_flux.sigma.values)
+        if p.exact_u is not None:
+            rel_l2 = norm(u1 - p.exact_u, "l2") / norm(p.exact_u, "l2")
+        else:
+            rel_l2 = float("nan")
+        return SweepRow(
+            eps=eps,
+            seed=-1 if seed is None else seed,
+            err_u_l1=norm(u1 - u0, "l1"),
+            err_gradu_l1=_joint_l1(grid, grad_diff, joint),
+            err_sigma_l1=_joint_l1(grid, sigma_diff, joint),
+            err_J_l1=norm(base_flux.J - new_flux.J, "l1"),
+            energy_diff=abs(e0 - primal_energy(u1, pp.perturbed)),
+            misalignment=_misalignment(grid, base_flux.J, new_flux.J),
+            iters=res.iterations,
+            rel_l2=rel_l2,
+            valid=res.converged,
+            measured_sizes=pp.measured_sizes,
+            excluded_fraction=float(1.0 - joint[1:-1, 1:-1].mean()),
+            sigma1=float(max(sigma0, new_flux.sigma.values.max(initial=0.0))),
+        )
 
-    fits = {col: _fit_column(rows, col) for col in SWEEP_COLUMNS}
-    shapes = {col: _shape_check(rows, col, q) for col, q in RATE_EXPONENTS.items()}
-    bounds = _drift_bounds(rows, p.M) if spec.param == "f" else []
-    sigma1 = max((r.measured_sizes.get("sigma1_row", 0.0) for r in rows), default=0.0)
+    rows = [measure(eps, seed, pp) for eps, seed, pp in instances]
+    averaged = {col: _seed_averaged(rows, col) for col in SWEEP_COLUMNS}
+    fits = {col: _fit_points(pts) for col, pts in averaged.items()}
+    shapes = {
+        col: _shape_check(col, q, averaged[col], fits[col])
+        for col, q in RATE_EXPONENTS.items()
+    }
+    sigma1 = max((r.sigma1 for r in rows), default=0.0)
+    bounds = _drift_bounds(rows, p.M, sigma1) if spec.param == "f" else []
     return StabilityReport(
         param=spec.param,
         mode=spec.mode,
@@ -435,17 +420,12 @@ def table1_experiment(
                     converged=res.converged,
                 )
             )
-    mean_rel = {
-        float(d): float(np.mean([r.rel_l2 for r in rows if r.delta == d]))
-        for d in deltas
-    }
-    mean_iters = {
-        float(d): float(np.mean([r.iters for r in rows if r.delta == d]))
-        for d in deltas
-    }
-    max_err = {
-        float(d): float(max(r.max_err for r in rows if r.delta == d)) for d in deltas
-    }
+    by_delta: dict[float, list[Table1Row]] = {}
+    for r in rows:
+        by_delta.setdefault(r.delta, []).append(r)
+    mean_rel = {d: float(np.mean([r.rel_l2 for r in g])) for d, g in by_delta.items()}
+    mean_iters = {d: float(np.mean([r.iters for r in g])) for d, g in by_delta.items()}
+    max_err = {d: float(max(r.max_err for r in g)) for d, g in by_delta.items()}
     return Table1Report(
         rows=rows, mean_rel_l2=mean_rel, mean_iters=mean_iters, max_err=max_err, n=n
     )

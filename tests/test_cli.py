@@ -4,6 +4,7 @@ import sys
 import numpy as np
 import pytest
 
+import gradflux.stability
 from gradflux import GridSpec, ScalarField, example1
 from gradflux.cli import main
 from gradflux.config import UsageError, build_config, parse_config_file
@@ -183,6 +184,21 @@ class TestFilesProblem:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "a_file" in capsys.readouterr().err
 
+    def test_noise_on_zero_drift_reported(self, tmp_path, capsys):
+        g = GridSpec(8)
+        write_field(ScalarField.full(g, 1.0), tmp_path / "a.field", kind="a")
+        write_field(ScalarField.full(g, 0.5), tmp_path / "h.field", kind="h")
+        cfg = write_cfg(
+            tmp_path / "solve.cfg",
+            problem="files",
+            a_file=str(tmp_path / "a.field"),
+            h_file=str(tmp_path / "h.field"),
+            delta=0.01,
+            seeds=0,
+        )
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "gradflux: noise scale undefined for a zero field" in capsys.readouterr().err
+
     def test_mismatched_field_grids_reported(self, tmp_path, capsys):
         write_field(ScalarField.full(GridSpec(8), 1.0), tmp_path / "a.field", kind="a")
         write_field(ScalarField.zeros(GridSpec(9)), tmp_path / "h.field", kind="h")
@@ -232,6 +248,28 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert "mode = noise" in err and "param" in err
         assert not out.exists()
+
+
+    def test_noise_on_zero_forcing_rejected_before_solve(self, tmp_path, capsys, monkeypatch):
+        g = GridSpec(8)
+        write_field(ScalarField.full(g, 1.0), tmp_path / "a.field", kind="a")
+        write_field(ScalarField.zeros(g), tmp_path / "h.field", kind="h")
+        cfg = write_cfg(
+            tmp_path / "sweep.cfg",
+            problem="files",
+            a_file=str(tmp_path / "a.field"),
+            h_file=str(tmp_path / "h.field"),
+            param="H",
+            mode="noise",
+            seeds=0,
+        )
+
+        def no_solve(*args, **kwargs):
+            pytest.fail("sweep solved before rejecting the zero forcing")
+
+        monkeypatch.setattr(gradflux.stability, "solve", no_solve)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert "gradflux: noise scale undefined for a zero field" in capsys.readouterr().err
 
 
 class TestTable1Command:

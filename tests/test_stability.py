@@ -10,6 +10,8 @@ from gradflux import (
     SweepSpec,
     example1,
     fit_rate,
+    flux,
+    make_perturbed,
     run_sweep,
     solve,
     table1_experiment,
@@ -140,6 +142,23 @@ class TestRunSweepSmall:
             "flux_vs_drift_sqrt",
         }
         assert with_a.bounds == []
+
+    def test_rows_carry_sigma1_and_only_measured_sizes(self):
+        g = GridSpec(16)
+        p = example1(g)
+        poisson = PoissonSolver(g)
+        spec = SweepSpec(
+            param="a", epsilons=(0.05, 0.02), mode="noise", seeds=(0, 1), solver=FAST
+        )
+        report = run_sweep(p, spec, poisson)
+        base_max = flux(report.base_result.state.u, p, spec.eta).sigma.values.max()
+        for row in report.rows:
+            pp = make_perturbed(p, "a", row.eps, "noise", row.seed)
+            assert row.measured_sizes == pp.measured_sizes
+            u1 = solve(pp.perturbed, FAST, poisson).state.u
+            row_max = flux(u1, pp.perturbed, spec.eta).sigma.values.max()
+            assert row.sigma1 == max(base_max, row_max)
+        assert report.sigma1_est == max(r.sigma1 for r in report.rows)
 
     def test_reuses_supplied_base_solve(self):
         g = GridSpec(16)
