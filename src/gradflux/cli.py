@@ -163,7 +163,7 @@ def _cmd_certify(cfg: RunConfig, out: Path, strict: bool) -> int:
     return 0
 
 
-def _sweep_summary(report: StabilityReport) -> list[str]:
+def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]:
     lines = [f"summary: sigma1_est = {report.sigma1_est:.17g}"]
     for col in SWEEP_COLUMNS:
         fit = report.fits[col]
@@ -187,6 +187,7 @@ def _sweep_summary(report: StabilityReport) -> list[str]:
         )
     excluded = max((r.excluded_fraction for r in report.rows), default=0.0)
     lines.append(f"summary: max excluded node fraction = {excluded:.6g}")
+    lines += [f"summary: not converged, excluded from fits and bounds: {r}" for r in unconverged]
     return lines
 
 
@@ -201,11 +202,15 @@ def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
         eta=cfg.eta,
     )
     report = run_sweep(p, spec)
-    comments = resolved_lines(cfg, "sweep") + _sweep_summary(report)
+    unconverged = [f"eps = {_fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
+    comments = resolved_lines(cfg, "sweep") + _sweep_summary(report, unconverged)
     rows = [tuple(r.column(c) for c in REPORT_COLUMNS) for r in report.rows]
     _write_csv(out / "sweep.csv", comments, REPORT_COLUMNS, rows)
-    bad = sum(not r.valid for r in report.rows)
-    return _nonconvergence_status(bad > 0, f"{bad} sweep row(s) did not converge", strict)
+    return _nonconvergence_status(
+        bool(unconverged),
+        f"{len(unconverged)} sweep row(s) did not converge: {'; '.join(unconverged)}",
+        strict,
+    )
 
 
 def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:

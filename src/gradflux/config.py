@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -43,25 +44,11 @@ class RunConfig:
     u_file: str | None = None
 
 
-# config-file key -> RunConfig attribute
-_KEY_TO_ATTR = {
-    "n": "n",
-    "lambda": "lam",
-    "tol": "tol",
-    "max_iter": "max_iter",
-    "eta": "eta",
-    "delta": "delta",
-    "deltas": "deltas",
-    "seeds": "seeds",
-    "param": "param",
-    "epsilons": "epsilons",
-    "mode": "mode",
-    "problem": "problem",
-    "a_file": "a_file",
-    "f_file": "f_file",
-    "h_file": "h_file",
-    "u_file": "u_file",
-}
+# Config keys are the RunConfig field names; 'lambda' is a Python keyword.
+_KEY_OF_FIELD = {"lam": "lambda"}
+# config key -> RunConfig field, in field order
+_FIELDS = {_KEY_OF_FIELD.get(f.name, f.name): f.name for f in fields(RunConfig)}
+_TYPES = get_type_hints(RunConfig)
 
 _PROBLEM_KEYS = ("problem", "a_file", "f_file", "h_file")
 
@@ -72,7 +59,7 @@ ALLOWED_KEYS = {
     + _PROBLEM_KEYS,
     "table1": ("n", "lambda", "tol", "max_iter", "deltas", "seeds", "problem"),
     "contour": ("n", "u_file") + _PROBLEM_KEYS,
-    "plotdata": tuple(_KEY_TO_ATTR),
+    "plotdata": tuple(_FIELDS),
 }
 
 
@@ -97,49 +84,37 @@ def parse_config_file(path) -> dict[str, str]:
     return raw
 
 
-def _parse_int(key: str, value: str) -> int:
+_TYPE_NAMES = {int: "an integer", float: "a number"}
+
+
+def _parse(key: str, value: str, kind):
+    """Parse one value by the type of its RunConfig field."""
+    if get_origin(kind) is tuple:
+        items = [tok.strip() for tok in value.split(",") if tok.strip()]
+        if not items:
+            raise UsageError(f"key {key!r} needs a non-empty comma-separated list")
+        return tuple(_parse(key, tok, get_args(kind)[0]) for tok in items)
+    if kind not in _TYPE_NAMES:
+        return value
     try:
-        return int(value)
+        return kind(value)
     except ValueError:
-        raise UsageError(f"key {key!r} needs an integer, got {value!r}") from None
-
-
-def _parse_float(key: str, value: str) -> float:
-    try:
-        return float(value)
-    except ValueError:
-        raise UsageError(f"key {key!r} needs a number, got {value!r}") from None
-
-
-def _parse_list(key: str, value: str, item_parser) -> tuple:
-    items = [tok.strip() for tok in value.split(",") if tok.strip()]
-    if not items:
-        raise UsageError(f"key {key!r} needs a non-empty comma-separated list")
-    return tuple(item_parser(key, tok) for tok in items)
+        raise UsageError(f"key {key!r} needs {_TYPE_NAMES[kind]}, got {value!r}") from None
 
 
 def build_config(raw: dict[str, str], command: str) -> RunConfig:
     """Turn raw key/value strings into a validated RunConfig for one command."""
     allowed = ALLOWED_KEYS[command]
     for key in raw:
-        if key not in _KEY_TO_ATTR:
+        if key not in _FIELDS:
             raise UsageError(f"unknown config key {key!r}")
         if key not in allowed:
             raise UsageError(f"config key {key!r} is not used by '{command}'")
 
     cfg = RunConfig()
     for key, value in raw.items():
-        attr = _KEY_TO_ATTR[key]
-        if key in ("n", "max_iter"):
-            setattr(cfg, attr, _parse_int(key, value))
-        elif key in ("lambda", "tol", "eta", "delta"):
-            setattr(cfg, attr, _parse_float(key, value))
-        elif key in ("deltas", "epsilons"):
-            setattr(cfg, attr, _parse_list(key, value, _parse_float))
-        elif key == "seeds":
-            setattr(cfg, attr, _parse_list(key, value, _parse_int))
-        else:
-            setattr(cfg, attr, value)
+        attr = _FIELDS[key]
+        setattr(cfg, attr, _parse(key, value, _TYPES[attr]))
 
     _range_checks(cfg, command)
     return cfg
@@ -186,12 +161,10 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
 def resolved_lines(cfg: RunConfig, command: str) -> list[str]:
     """Render the effective configuration as stable 'key = value' lines."""
     out = [f"command = {command}"]
-    attr_to_key = {v: k for k, v in _KEY_TO_ATTR.items()}
-    for f in fields(RunConfig):
-        key = attr_to_key[f.name]
+    for key, attr in _FIELDS.items():
         if key not in ALLOWED_KEYS[command]:
             continue
-        value = getattr(cfg, f.name)
+        value = getattr(cfg, attr)
         if value is None:
             continue
         if isinstance(value, tuple):

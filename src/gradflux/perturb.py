@@ -6,11 +6,13 @@ equals the requested noise level exactly:
 
     out = field + gamma * R,   gamma = delta * |field|_F / |R|_F.
 
-Structured perturbations (constant shift, smooth interior bump, potential
-bump for conservative drifts) produce families whose perturbation norms are
-known in closed form, which is what the sweep harness needs for rate fits
-and explicit-constant bound checks.  Everything is deterministic given the
-inputs, the seed and the amplitude.
+Structured perturbations are a constant shift or a smooth interior bump of
+a and H, and a potential bump of the drift: f moves by
+df = epsilon sin(pi x) sin(pi y) and F by its discrete gradient, whether or
+not the instance stores f.  ``make_perturbed`` measures each change as it
+applies it, in the norms the stability estimates are stated in: |a - a~|_inf,
+|H - H~|_inf, |F - F~|_L1 and |f - f~|_W11.  Everything is deterministic
+given the inputs, the seed and the amplitude.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "perturb_potential",
     "make_perturbed",
     "apply_table1_noise",
-    "measure_sizes",
     "check_param_mode",
 ]
 
@@ -54,6 +55,11 @@ def check_param_mode(param: str, mode: str) -> None:
     if mode == "noise" and param not in ("a", "H"):
         raise ValueError(
             f"mode = noise perturbs only the scalar data: param must be a or H, got {param!r}"
+        )
+    if mode == "smooth-bump" and param == "f":
+        raise ValueError(
+            "mode = smooth-bump does not apply to param = f: f always moves by the "
+            "potential bump, and mode selects how a and H move"
         )
 
 
@@ -132,53 +138,10 @@ def perturb_potential(f: ScalarField, epsilon: float) -> tuple[ScalarField, Vect
 
 @dataclass(frozen=True, eq=False)
 class PerturbedProblem:
-    """Base/perturbed instance pair with the measured perturbation sizes."""
+    """Perturbed instance with the sizes of the changes that built it."""
 
-    base: ProblemData
     perturbed: ProblemData
-    applied: frozenset[str]
     measured_sizes: dict[str, float]
-
-
-def measure_sizes(
-    base: ProblemData, perturbed: ProblemData, applied, epsilon: float
-) -> dict[str, float]:
-    """Recompute the perturbation norms the stability theory is stated in.
-
-    ``epsilon`` is the amplitude of the potential bump; it gives f's W^{1,1}
-    size when the perturbed instance carries no potential to measure.
-    """
-    sizes: dict[str, float] = {}
-    if "a" in applied:
-        sizes["a_linf"] = norm(base.a - perturbed.a, "linf")
-    if "H" in applied:
-        sizes["H_linf"] = norm(base.H - perturbed.H, "linf")
-    if "f" in applied or "F" in applied:
-        sizes["F_l1"] = norm(base.F - perturbed.F, "l1")
-    if "f" in applied:
-        f0 = base.potential_f if base.potential_f is not None else ScalarField.zeros(base.grid)
-        f1 = perturbed.potential_f
-        if f1 is None:
-            bump = ScalarField(base.grid, _bump(base.grid))
-            sizes["f_w11"] = sizes["F_l1"] + abs(epsilon) * norm(bump, "l1")
-        else:
-            diff = f1 - f0
-            sizes["f_w11"] = norm(diff, "l1") + norm(gradient(diff), "l1")
-    return sizes
-
-
-def _perturb_drift_conservatively(p: ProblemData, epsilon: float):
-    """Drift perturbation along a discrete-gradient direction.
-
-    When the instance stores a potential, this is exactly the potential bump
-    (F_new = gradient(f_new)); otherwise the same gradient increment is added
-    to the non-conservative drift, so the perturbation itself stays curl-free.
-    """
-    if p.potential_f is not None:
-        f_new, F_new = perturb_potential(p.potential_f, epsilon)
-        return f_new, F_new
-    f_new, dF = perturb_potential(ScalarField.zeros(p.grid), epsilon)
-    return None, p.F + dF
 
 
 def make_perturbed(
@@ -192,9 +155,11 @@ def make_perturbed(
 
     param selects which data moves: the weight a, the drift potential f, the
     forcing H, or all three combined (a and H via the requested mode, the
-    drift always via the conservative bump).  mode="noise" draws stochastic
-    perturbations for a or H at level epsilon and needs a seed.  The base
-    instance's exact solution is carried over for error reporting.
+    drift always via the potential bump).  mode="noise" draws stochastic
+    perturbations for a or H at level epsilon and needs a seed.  Without a
+    stored potential the bump's gradient is added to the drift, so the
+    change is still a discrete gradient.  The base instance's exact solution
+    is carried over for error reporting.
     """
     check_param_mode(param, mode)
     if mode == "noise" and seed is None:
@@ -202,7 +167,7 @@ def make_perturbed(
 
     a, F, H = base.a, base.F, base.H
     potential = base.potential_f
-    applied: set[str] = set()
+    sizes: dict[str, float] = {}
 
     def scalar_op(field: ScalarField) -> ScalarField:
         if mode == "noise":
@@ -211,13 +176,18 @@ def make_perturbed(
 
     if param in ("a", "combined"):
         a = scalar_op(a)
-        applied.add("a")
+        sizes["a_linf"] = norm(base.a - a, "linf")
     if param in ("H", "combined"):
         H = scalar_op(H)
-        applied.add("H")
+        sizes["H_linf"] = norm(base.H - H, "linf")
     if param in ("f", "combined"):
-        potential, F = _perturb_drift_conservatively(base, epsilon)
-        applied.add("f")
+        df, dF = perturb_potential(ScalarField.zeros(base.grid), epsilon)
+        if potential is None:
+            F = F + dF
+        else:
+            potential, F = perturb_potential(potential, epsilon)
+        sizes["F_l1"] = norm(base.F - F, "l1")
+        sizes["f_w11"] = norm(df, "l1") + norm(dF, "l1")
 
     perturbed = ProblemData(
         base.grid,
@@ -228,12 +198,7 @@ def make_perturbed(
         potential_f=potential,
         name=f"{base.name}+{param}",
     )
-    return PerturbedProblem(
-        base=base,
-        perturbed=perturbed,
-        applied=frozenset(applied),
-        measured_sizes=measure_sizes(base, perturbed, applied, epsilon),
-    )
+    return PerturbedProblem(perturbed=perturbed, measured_sizes=sizes)
 
 
 def apply_table1_noise(p: ProblemData, delta: float, seed: int) -> ProblemData:

@@ -72,15 +72,13 @@ class ValidationReport:
     warnings: tuple[str, ...]
 
 
-def example1(grid: GridSpec, analytic_drift: bool = False) -> ProblemData:
+def example1(grid: GridSpec) -> ProblemData:
     """Benchmark instance with exact minimizer u(x, y) = x y (1-x) (1-y).
 
     The drift is assembled as F = (1, x+y) - gradient(u) with the discrete
     gradient, so the identity gradient(u) + F = (1, x+y) holds exactly at
     every node; the weight a = sqrt(1 + (x+y)^2) = |gradient(u) + F| then
-    gives a flux with unit coefficient (sigma = 1) on the whole grid.  With
-    ``analytic_drift=True`` the drift is sampled from the closed form
-    -grad u + (1, x+y) instead, and the identity holds only to O(h).
+    gives a flux with unit coefficient (sigma = 1) on the whole grid.
 
     The forcing is H = div(1, x+y) = 1.  The drift is not conservative
     (curl(1, x+y) = -1), so no potential is attached.
@@ -88,15 +86,9 @@ def example1(grid: GridSpec, analytic_drift: bool = False) -> ProblemData:
     x, y = grid.meshgrid()
     u = x * y * (1.0 - x) * (1.0 - y)
     u_field = ScalarField(grid, u)
-    tx = np.ones_like(x)  # target gradient-plus-drift, x component
-    ty = x + y
-    if analytic_drift:
-        fx = tx - y * (1.0 - y) * (1.0 - 2.0 * x)
-        fy = ty - x * (1.0 - x) * (1.0 - 2.0 * y)
-    else:
-        gu = gradient(u_field)
-        fx = tx - gu.x.values
-        fy = ty - gu.y.values
+    gu = gradient(u_field)
+    fx = 1.0 - gu.x.values  # target gradient-plus-drift is (1, x+y)
+    fy = x + y - gu.y.values
     a = np.sqrt(1.0 + (x + y) ** 2)
     return ProblemData(
         grid,

@@ -1,5 +1,7 @@
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ import pytest
 import gradflux.stability
 from gradflux import GridSpec, ScalarField, example1
 from gradflux.cli import main
-from gradflux.config import UsageError, build_config, parse_config_file
+from gradflux.config import ALLOWED_KEYS, UsageError, build_config, parse_config_file
 from gradflux.fieldio import read_field, write_field
 
 
@@ -66,10 +68,28 @@ class TestConfigParsing:
             build_config({"mode": "bogus"}, "sweep")
         with pytest.raises(UsageError, match="param must be a or H"):
             build_config({"param": "f", "mode": "noise"}, "sweep")
+        with pytest.raises(UsageError, match="f always moves by the potential bump"):
+            build_config({"param": "f", "mode": "smooth-bump"}, "sweep")
 
     def test_empty_list_rejected(self):
         with pytest.raises(UsageError, match="non-empty"):
             build_config({"epsilons": ""}, "sweep")
+
+    def test_readme_key_table_matches_allowed_keys(self):
+        # plotdata accepts every key, so the table's "used by" column leaves it out
+        commands = [c for c in ALLOWED_KEYS if c != "plotdata"]
+        text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        documented = {}
+        for line in text.splitlines():
+            if not line.startswith("| `"):
+                continue
+            cells = [c.strip() for c in line.strip("|").split("|")]
+            used_by = commands if cells[2] == "all" else cells[2].split(", ")
+            for key in re.findall(r"`([^`]+)`", cells[0]):
+                documented[key] = set(used_by)
+        assert documented.keys() == set(ALLOWED_KEYS["plotdata"])
+        for key, used_by in documented.items():
+            assert used_by == {c for c in commands if key in ALLOWED_KEYS[c]}, key
 
 
 class TestSolveCommand:
@@ -270,6 +290,28 @@ class TestSweepCommand:
         monkeypatch.setattr(gradflux.stability, "solve", no_solve)
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "gradflux: noise scale undefined for a zero field" in capsys.readouterr().err
+
+    def test_unconverged_rows_named(self, tmp_path, capsys):
+        # the base solve converges within 500 iterations at n=8; the noised rows do not
+        cfg = write_cfg(
+            tmp_path / "sweep.cfg",
+            problem="example1",
+            n=8,
+            param="a",
+            mode="noise",
+            epsilons="0.04, 0.02",
+            seeds=0,
+            max_iter=500,
+        )
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        named = ["eps = 0.040000000000000001, seed = 0", "eps = 0.02, seed = 0"]
+        lines = (out / "sweep.csv").read_text().splitlines()
+        assert [l for l in lines if "not converged" in l] == [
+            f"# summary: not converged, excluded from fits and bounds: {r}" for r in named
+        ]
+        err = capsys.readouterr().err
+        assert err == f"gradflux: 2 sweep row(s) did not converge: {'; '.join(named)}\n"
 
 
 class TestTable1Command:

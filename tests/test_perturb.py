@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gradflux import (
     GridSpec,
     NoiseSpec,
+    ProblemData,
     ScalarField,
     gradient,
     make_perturbed,
@@ -15,7 +16,7 @@ from gradflux import (
     perturb_potential,
     perturb_weight,
 )
-from gradflux.perturb import apply_table1_noise, measure_sizes
+from gradflux.perturb import apply_table1_noise
 
 
 def frob(a):
@@ -140,12 +141,40 @@ class TestPerturbPotential:
 
 
 class TestMakePerturbed:
-    def test_measured_sizes_recomputable(self, prob100):
-        pp = make_perturbed(prob100, "combined", 0.03, "smooth-bump")
-        again = measure_sizes(pp.base, pp.perturbed, pp.applied, 0.03)
-        for key, value in again.items():
-            assert pp.measured_sizes[key] == pytest.approx(value, rel=1e-12)
-        assert pp.applied == frozenset({"a", "f", "H"})
+    def test_measured_sizes_match_norms_of_the_changes(self, prob100):
+        eps = 0.03
+        pp = make_perturbed(prob100, "combined", eps, "smooth-bump")
+        p1 = pp.perturbed
+        x, y = prob100.grid.meshgrid()
+        df = ScalarField(prob100.grid, eps * np.sin(np.pi * x) * np.sin(np.pi * y))
+        expected = {
+            "a_linf": np.abs(p1.a.values - prob100.a.values).max(),
+            "H_linf": np.abs(p1.H.values - prob100.H.values).max(),
+            "F_l1": norm(p1.F - prob100.F, "l1"),
+            "f_w11": norm(df, "l1") + norm(gradient(df), "l1"),
+        }
+        assert pp.measured_sizes.keys() == expected.keys()
+        for key, value in expected.items():
+            assert pp.measured_sizes[key] == pytest.approx(value, rel=1e-12), key
+        # the smooth bump peaks at the center node, so the sup sizes are eps
+        assert expected["a_linf"] == pytest.approx(eps, rel=1e-12)
+        assert expected["H_linf"] == pytest.approx(eps, rel=1e-12)
+
+    def test_drift_sizes_with_stored_potential(self):
+        g = GridSpec(16)
+        f = ScalarField.from_function(g, lambda x, y: np.cos(x) * y)
+        p = ProblemData(
+            g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g), potential_f=f
+        )
+        pp = make_perturbed(p, "f", 0.05)
+        diff = pp.perturbed.potential_f - f
+        assert pp.measured_sizes.keys() == {"F_l1", "f_w11"}
+        assert pp.measured_sizes["F_l1"] == pytest.approx(
+            norm(pp.perturbed.F - p.F, "l1"), rel=1e-12
+        )
+        assert pp.measured_sizes["f_w11"] == pytest.approx(
+            norm(diff, "l1") + norm(gradient(diff), "l1"), rel=1e-12
+        )
 
     def test_weight_sup_size_matches_amplitude(self, prob100):
         pp = make_perturbed(prob100, "a", 0.015, "constant-shift")
@@ -163,8 +192,6 @@ class TestMakePerturbed:
     def test_conservative_drift_perturbation_with_potential(self):
         g = GridSpec(16)
         f = ScalarField.from_function(g, lambda x, y: x * y)
-        from gradflux import ProblemData
-
         p = ProblemData(
             g,
             a=ScalarField.full(g, 1.0),

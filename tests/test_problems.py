@@ -34,13 +34,6 @@ class TestExample1:
         mag = np.hypot(g.x.values, g.y.values)
         assert np.abs(mag - prob100.a.values).max() <= 1e-12
 
-    def test_analytic_drift_identity_within_discretization(self, grid100):
-        p = example1(grid100, analytic_drift=True)
-        g = gradient(p.exact_u) + p.F
-        mag = np.hypot(g.x.values, g.y.values)
-        err = np.abs(mag - p.a.values)[1:-1, 1:-1].max()
-        assert err <= 5 * grid100.h
-
     def test_drift_is_not_conservative(self, prob100):
         assert prob100.potential_f is None
 

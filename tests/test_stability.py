@@ -86,6 +86,12 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="seed"):
             SweepSpec(param="a", epsilons=(0.1,), mode="noise")
 
+    def test_smooth_bump_on_drift_rejected(self):
+        with pytest.raises(ValueError, match="f always moves by the potential bump"):
+            SweepSpec(param="f", epsilons=(0.1,), mode="smooth-bump")
+        SweepSpec(param="f", epsilons=(0.1,))
+        SweepSpec(param="combined", epsilons=(0.1,), mode="smooth-bump")
+
 
 class TestRunSweepSmall:
     """Cheap structural checks at low resolution; rate assertions live in the
