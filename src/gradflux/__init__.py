@@ -14,7 +14,7 @@ from .grid import (
     laplacian,
     norm,
 )
-from .levelset import level_set_length, level_set_length_bound, level_set_lengths
+from .levelset import level_set_length, level_set_lengths
 from .perturb import (
     NoiseSpec,
     PerturbedProblem,

@@ -10,7 +10,7 @@ Subcommands::
     gradflux plotdata --config cfg [--out DIR]
 
 Exit codes: 0 success, 1 usage/configuration error, 2 compute failure
-(non-convergence under --strict).
+(non-convergence under --strict, or a sweep whose base solve did not converge).
 
 Every CSV embeds the fully resolved configuration as '#' comment lines, so
 any run can be replayed from its own output.  Two invocations with the same
@@ -45,6 +45,7 @@ from .problems import ProblemData, example1
 from .stability import (
     REPORT_COLUMNS,
     SWEEP_COLUMNS,
+    BaseNotConvergedError,
     StabilityReport,
     SweepSpec,
     run_sweep,
@@ -225,14 +226,21 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
             f"{report.mean_rel_l2[d]:.17g}, mean_iters = {report.mean_iters[d]:.17g}, "
             f"max_err = {report.max_err[d]:.17g}"
         )
+    unconverged = [
+        f"delta = {_fmt(r.delta)}, seed = {r.seed}" for r in report.rows if not r.converged
+    ]
+    comments += [f"summary: not converged: {r}" for r in unconverged]
     comments.append("note: err_* columns apply to perturbation sweeps; table1 rows carry nan")
     rows = []
     for r in report.rows:
         known = {"eps": r.delta, "seed": r.seed, "iters": r.iters, "rel_l2": r.rel_l2}
         rows.append(tuple(known.get(c, float("nan")) for c in REPORT_COLUMNS))
     _write_csv(out / "table1.csv", comments, REPORT_COLUMNS, rows)
-    bad = sum(not r.converged for r in report.rows)
-    return _nonconvergence_status(bad > 0, f"{bad} table1 run(s) did not converge", strict)
+    return _nonconvergence_status(
+        bool(unconverged),
+        f"{len(unconverged)} table1 run(s) did not converge: {'; '.join(unconverged)}",
+        strict,
+    )
 
 
 def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
@@ -363,9 +371,9 @@ def main(argv=None) -> int:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         return _COMMANDS[args.command](cfg, out, args.strict)
-    except (UsageError, FieldFormatError, NoiseScaleError) as exc:
+    except (UsageError, FieldFormatError, NoiseScaleError, BaseNotConvergedError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, BaseNotConvergedError) else 1
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField
 
-__all__ = ["FieldFormatError", "read_field", "read_field_meta", "write_field"]
+__all__ = ["FieldFormatError", "read_field_meta", "write_field"]
 
 _HEADER_RE = re.compile(r"^gradflux-field n=(\d+) kind=(\S+) problem=(\S+)\s*$")
 
@@ -77,7 +77,3 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
         raise FieldFormatError(f"{path}:{lineno}: non-finite value {float(arr[bad[0]])!r}")
     arr = arr.reshape(n + 1, n + 1)
     return ScalarField(GridSpec(n), arr), kind, problem
-
-
-def read_field(path) -> ScalarField:
-    return read_field_meta(path)[0]

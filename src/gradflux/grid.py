@@ -102,9 +102,6 @@ class ScalarField:
         x, y = grid.meshgrid()
         return ScalarField(grid, np.asarray(fn(x, y), dtype=float))
 
-    def interior(self) -> np.ndarray:
-        return self.values[1:-1, 1:-1]
-
     def boundary_values(self) -> np.ndarray:
         v = self.values
         return np.concatenate([v[0, :], v[-1, :], v[1:-1, 0], v[1:-1, -1]])
@@ -148,9 +145,6 @@ class VectorField:
     @staticmethod
     def zeros(grid: GridSpec) -> "VectorField":
         return VectorField(ScalarField.zeros(grid), ScalarField.zeros(grid))
-
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, np.hypot(self.x.values, self.y.values))
 
     def __add__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.x + other.x, self.y + other.y)

@@ -32,6 +32,7 @@ from .poisson import PoissonSolver
 from .problems import ProblemData, example1
 
 __all__ = [
+    "BaseNotConvergedError",
     "SweepSpec",
     "SweepRow",
     "RateFit",
@@ -71,6 +72,10 @@ RATE_EXPONENTS = {
 SLOPE_THRESHOLDS = {0.5: 0.45, 0.25: 0.20}
 # Discretization allowance on the explicit-constant drift bounds.
 BOUND_SLACK = 0.1
+
+
+class BaseNotConvergedError(RuntimeError):
+    """The base solve of a sweep stopped at max_iter, so no row has an anchor."""
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def run_sweep(
     poisson = poisson or PoissonSolver(p.grid)
     base = base or solve(p, spec.solver, poisson)
     if not base.converged:
-        raise RuntimeError("base solve did not converge; cannot anchor the sweep")
+        raise BaseNotConvergedError("base solve did not converge; cannot anchor the sweep")
     grid = p.grid
     u0 = base.state.u
     base_flux = flux(u0, p, spec.eta)

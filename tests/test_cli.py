@@ -10,7 +10,7 @@ import gradflux.stability
 from gradflux import GridSpec, ScalarField, example1
 from gradflux.cli import main
 from gradflux.config import ALLOWED_KEYS, UsageError, build_config, parse_config_file
-from gradflux.fieldio import read_field, write_field
+from gradflux.fieldio import read_field_meta, write_field
 
 
 def write_cfg(path, **keys):
@@ -194,7 +194,7 @@ class TestFilesProblem:
         )
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        u = read_field(out / "solution.field")
+        u = read_field_meta(out / "solution.field")[0]
         assert u.grid == g
         assert np.abs(u.boundary_values()).max() == 0.0
         assert (out / "f.field").exists()
@@ -313,6 +313,23 @@ class TestSweepCommand:
         err = capsys.readouterr().err
         assert err == f"gradflux: 2 sweep row(s) did not converge: {'; '.join(named)}\n"
 
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unconverged_base_reported(self, tmp_path, capsys, strict):
+        # at n=24 the base solve needs more than 300 iterations
+        cfg = write_cfg(
+            tmp_path / "sweep.cfg",
+            problem="example1",
+            n=24,
+            param="a",
+            mode="noise",
+            seeds="0, 1",
+            max_iter=300,
+        )
+        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o")]
+        assert main(argv + ["--strict"] * strict) == 2
+        err = capsys.readouterr().err
+        assert err == "gradflux: base solve did not converge; cannot anchor the sweep\n"
+
 
 class TestTable1Command:
     def test_mini_run_schema(self, tmp_path):
@@ -325,6 +342,23 @@ class TestTable1Command:
         assert "summary: delta" in text
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(body) == 3  # header + 2 rows
+
+    def test_unconverged_runs_named(self, tmp_path, capsys):
+        # at n=8 and delta 0.06, seed 0 stops by tolerance after 261 iterations
+        # and seed 1 runs to max_iter = 500; at max_iter = 1000 both converge
+        run = "delta = 0.059999999999999998, seed = 1"
+        for max_iter, named in ((500, [run]), (1000, [])):
+            cfg = write_cfg(
+                tmp_path / "t1.cfg", n=8, deltas="0.06", seeds="0, 1", max_iter=max_iter
+            )
+            out = tmp_path / f"run{max_iter}"
+            assert main(["table1", "--config", cfg, "--out", str(out)]) == 0
+            lines = (out / "table1.csv").read_text().splitlines()
+            assert [l for l in lines if "not converged" in l] == [
+                f"# summary: not converged: {r}" for r in named
+            ]
+            err = capsys.readouterr().err
+            assert err == (f"gradflux: 1 table1 run(s) did not converge: {run}\n" if named else "")
 
 
 class TestContourCommand:

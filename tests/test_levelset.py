@@ -1,14 +1,84 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from gradflux import (
-    GridSpec,
-    ScalarField,
-    example1,
-    level_set_length,
-    level_set_length_bound,
-    level_set_lengths,
-)
+from gradflux import GridSpec, ScalarField, example1, level_set_length, level_set_lengths
+
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
+def loop_oracle(v, t):
+    """Per-cell marching squares: the reference the array pass must equal bit for bit."""
+    f = v.values - t
+    h = v.grid.h
+    neg = f < 0
+    crossings = (
+        neg[:-1, :-1].astype(np.int8) + neg[1:, :-1] + neg[1:, 1:] + neg[:-1, 1:]
+    )
+    total = 0.0
+    for i, j in zip(*np.nonzero((crossings > 0) & (crossings < 4))):
+        pts = []
+        for k in range(4):
+            i1, j1 = i + _CORNERS[k][0], j + _CORNERS[k][1]
+            i2, j2 = i + _CORNERS[(k + 1) % 4][0], j + _CORNERS[(k + 1) % 4][1]
+            f1, f2 = f[i1, j1], f[i2, j2]
+            if (f1 < 0) != (f2 < 0):
+                al = f1 / (f1 - f2)
+                pts.append(((i1 + al * (i2 - i1)) * h, (j1 + al * (j2 - j1)) * h))
+        if len(pts) == 2:
+            total += np.hypot(pts[0][0] - pts[1][0], pts[0][1] - pts[1][1])
+        elif len(pts) == 4:
+            center_neg = (f[i, j] + f[i + 1, j] + f[i + 1, j + 1] + f[i, j + 1]) < 0
+            pairs = ((0, 3), (1, 2)) if (f[i, j] < 0) == center_neg else ((0, 1), (2, 3))
+            for a, b in pairs:
+                total += np.hypot(pts[a][0] - pts[b][0], pts[a][1] - pts[b][1])
+    return total
+
+
+def _saddle_count(v, t):
+    neg = v.values < t
+    diag = (neg[:-1, :-1] == neg[1:, 1:]) & (neg[1:, :-1] == neg[:-1, 1:])
+    return int((diag & (neg[:-1, :-1] != neg[1:, :-1])).sum())
+
+
+_RNG = np.random.default_rng(20261018)
+ORACLE_FIELDS = {
+    "random": ScalarField(GridSpec(48), _RNG.standard_normal((49, 49))),
+    # half-integer values: at the levels 0 and 0.5 many nodes sit exactly on t
+    "integer": ScalarField(GridSpec(40), _RNG.integers(-3, 4, (41, 41)) / 2.0),
+    "x": ScalarField.from_function(GridSpec(40), lambda x, y: x),
+    "x+y": ScalarField.from_function(GridSpec(37), lambda x, y: x + y),
+    "circle": ScalarField.from_function(
+        GridSpec(60), lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2
+    ),
+    "constant": ScalarField.full(GridSpec(12), 3.0),
+}
+
+
+def _oracle_levels(v):
+    lo, hi = float(v.values.min()), float(v.values.max())
+    interior = np.linspace(lo, hi, 22)[1:-1]
+    return [float(t) for t in interior] + [lo, hi, lo - 1.0, hi + 1.0, 0.0, 0.5]
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS))
+def test_array_pass_equals_loop_oracle_bitwise(name):
+    v = ORACLE_FIELDS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in _oracle_levels(v):
+            assert level_set_length(v, t) == loop_oracle(v, t), t
+
+
+def test_oracle_inputs_cover_saddles_and_grid_line_contours():
+    v = ORACLE_FIELDS["random"]
+    assert sum(_saddle_count(v, t) for t in _oracle_levels(v)) > 0
+    assert _saddle_count(ORACLE_FIELDS["integer"], 0.0) > 0
+    # x = 0.5 is a grid line at n=40: its nodes sit exactly at the level
+    x = ORACLE_FIELDS["x"]
+    assert (x.values == 0.5).any()
+    assert level_set_length(x, 0.5) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vertical_line():
@@ -56,7 +126,7 @@ def test_length_bound_stable_under_refinement():
     k = {}
     for n in (50, 100):
         u = example1(GridSpec(n)).exact_u
-        k[n] = level_set_length_bound(u, num_levels=50)
+        k[n] = max(length for _, length in level_set_lengths(u, 50))
     assert k[100] > 0
     assert abs(k[100] - k[50]) / k[100] <= 0.10
 
