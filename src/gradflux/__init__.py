@@ -26,7 +26,7 @@ from .perturb import (
     perturb_weight,
 )
 from .poisson import PoissonSolver
-from .problems import ProblemData, ValidationReport, example1, validate
+from .problems import ProblemData, example1
 from .stability import (
     BoundCheck,
     RateFit,

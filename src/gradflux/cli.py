@@ -86,7 +86,7 @@ def _build_problem(cfg: RunConfig) -> ProblemData:
     else:
         potential = ScalarField.zeros(grid)
         drift = VectorField.zeros(grid)
-    return ProblemData(
+    p = ProblemData(
         grid,
         a=fields["a"],
         F=drift,
@@ -94,6 +94,12 @@ def _build_problem(cfg: RunConfig) -> ProblemData:
         potential_f=potential,
         name="files",
     )
+    if p.m <= 0.0:
+        raise UsageError(
+            f"a_file {cfg.a_file}: the weight must be positive at every node, "
+            f"but its minimum is {p.m:g}"
+        )
+    return p
 
 
 def _solver_config(cfg: RunConfig, record_history: bool = False) -> SolverConfig:
@@ -198,14 +204,14 @@ def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
         param=cfg.param,
         epsilons=cfg.epsilons,
         mode=cfg.mode,
-        seeds=cfg.seeds if cfg.mode == "noise" else (),
+        seeds=cfg.seeds,
         solver=_solver_config(cfg),
         eta=cfg.eta,
     )
     report = run_sweep(p, spec)
     unconverged = [f"eps = {_fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report, unconverged)
-    rows = [tuple(r.column(c) for c in REPORT_COLUMNS) for r in report.rows]
+    rows = [tuple(getattr(r, c) for c in REPORT_COLUMNS) for r in report.rows]
     _write_csv(out / "sweep.csv", comments, REPORT_COLUMNS, rows)
     return _nonconvergence_status(
         bool(unconverged),

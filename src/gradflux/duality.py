@@ -40,7 +40,6 @@ class FluxPair:
     J: VectorField
     sigma: ScalarField
     mask: np.ndarray
-    eta: float
 
 
 @dataclass(frozen=True)
@@ -74,7 +73,6 @@ def flux(u: ScalarField, p: ProblemData, eta: float = 1e-8) -> FluxPair:
         J=VectorField.from_arrays(u.grid, jx, jy),
         sigma=ScalarField(u.grid, sigma),
         mask=mask,
-        eta=eta,
     )
 
 

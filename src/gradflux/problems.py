@@ -7,8 +7,7 @@ energy being minimized over fields vanishing on the boundary is
     E(w) = integral( a |grad w + F| + H w ).
 
 ``example1`` builds the benchmark instance with the closed-form minimizer
-u(x, y) = x y (1-x) (1-y); ``validate`` measures the standing hypotheses
-(positive weight bounds, drift size, forcing bound).
+u(x, y) = x y (1-x) (1-y).
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, gradient, norm
 
-__all__ = ["ProblemData", "ValidationReport", "example1", "validate"]
+__all__ = ["ProblemData", "example1"]
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,19 +58,6 @@ class ProblemData:
                 raise ValueError("exact solution must vanish on the boundary")
 
 
-@dataclass(frozen=True)
-class ValidationReport:
-    """Measured hypothesis data for one instance."""
-
-    m: float
-    M: float
-    k1: float
-    H_linf: float
-    C_Omega: float | None
-    poincare_ok: bool | None
-    warnings: tuple[str, ...]
-
-
 def example1(grid: GridSpec) -> ProblemData:
     """Benchmark instance with exact minimizer u(x, y) = x y (1-x) (1-y).
 
@@ -97,35 +83,4 @@ def example1(grid: GridSpec) -> ProblemData:
         H=ScalarField.full(grid, 1.0),
         exact_u=u_field,
         name="example1",
-    )
-
-
-def validate(p: ProblemData, C_Omega: float | None = None) -> ValidationReport:
-    """Measure weight bounds, drift size and forcing bound; warn on violations.
-
-    Violations are reported as warnings rather than errors because perturbed
-    instances may sit at the edge of the hypotheses.  When ``C_Omega`` is
-    supplied, the report additionally records whether |H|_inf < m / C_Omega.
-    """
-    warnings: list[str] = []
-    m, M = p.m, p.M
-    if m <= 0.0:
-        warnings.append("weight not positive")
-    k1 = norm(p.F, "l1")
-    h_linf = norm(p.H, "linf")
-    poincare_ok = None
-    if C_Omega is not None:
-        if C_Omega <= 0:
-            raise ValueError("C_Omega must be positive")
-        poincare_ok = bool(h_linf < m / C_Omega)
-        if not poincare_ok:
-            warnings.append("forcing bound violated: |H|_inf >= m / C_Omega")
-    return ValidationReport(
-        m=m,
-        M=M,
-        k1=k1,
-        H_linf=h_linf,
-        C_Omega=C_Omega,
-        poincare_ok=poincare_ok,
-        warnings=tuple(warnings),
     )

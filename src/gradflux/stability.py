@@ -111,7 +111,6 @@ class RateFit:
     slope: float
     intercept: float
     points_used: int
-    residual: float
 
 
 @dataclass(frozen=True)
@@ -150,14 +149,9 @@ class SweepRow:
     excluded_fraction: float
     sigma1: float
 
-    def column(self, name: str) -> float:
-        return getattr(self, name)
-
 
 @dataclass(frozen=True, eq=False)
 class StabilityReport:
-    param: str
-    mode: str
     rows: list[SweepRow]
     fits: dict[str, RateFit | None]
     bounds: list[BoundCheck]
@@ -200,13 +194,7 @@ def fit_rate(points) -> RateFit:
     y = np.log([v for _, v in pts])
     A = np.vstack([x, np.ones_like(x)]).T
     coef, *_ = np.linalg.lstsq(A, y, rcond=None)
-    pred = A @ coef
-    return RateFit(
-        slope=float(coef[0]),
-        intercept=float(coef[1]),
-        points_used=len(pts),
-        residual=float(((y - pred) ** 2).sum()),
-    )
+    return RateFit(slope=float(coef[0]), intercept=float(coef[1]), points_used=len(pts))
 
 
 def _l1_interior(grid: GridSpec, vals: np.ndarray) -> float:
@@ -233,7 +221,7 @@ def _seed_averaged(rows: list[SweepRow], column: str) -> list[tuple[float, float
     by_eps: dict[float, list[float]] = {}
     for r in rows:
         if r.valid:
-            by_eps.setdefault(r.eps, []).append(r.column(column))
+            by_eps.setdefault(r.eps, []).append(getattr(r, column))
     return [(e, float(np.mean(v))) for e, v in sorted(by_eps.items(), reverse=True)]
 
 
@@ -378,8 +366,6 @@ def run_sweep(
     sigma1 = max((r.sigma1 for r in rows), default=0.0)
     bounds = _drift_bounds(rows, p.M, sigma1) if spec.param == "f" else []
     return StabilityReport(
-        param=spec.param,
-        mode=spec.mode,
         rows=rows,
         fits=fits,
         bounds=bounds,

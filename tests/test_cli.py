@@ -219,6 +219,29 @@ class TestFilesProblem:
         assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "gradflux: noise scale undefined for a zero field" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("bad", [-1.0, 0.0])
+    @pytest.mark.parametrize(
+        "command, written", [("solve", "solution.field"), ("sweep", "sweep.csv")]
+    )
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_nonpositive_weight_rejected(self, tmp_path, capsys, bad, command, written, strict):
+        g = GridSpec(8)
+        a = np.ones(g.shape)
+        a[3, 4] = bad
+        write_field(ScalarField(g, a), tmp_path / "a.field", kind="a")
+        write_field(ScalarField.full(g, 0.5), tmp_path / "h.field", kind="h")
+        cfg = write_cfg(
+            tmp_path / "run.cfg",
+            problem="files",
+            a_file=str(tmp_path / "a.field"),
+            h_file=str(tmp_path / "h.field"),
+        )
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)] + ["--strict"] * strict) == 1
+        err = capsys.readouterr().err
+        assert "a_file" in err and f"minimum is {bad:g}" in err
+        assert not (out / written).exists()
+
     def test_mismatched_field_grids_reported(self, tmp_path, capsys):
         write_field(ScalarField.full(GridSpec(8), 1.0), tmp_path / "a.field", kind="a")
         write_field(ScalarField.zeros(GridSpec(9)), tmp_path / "h.field", kind="h")

@@ -9,7 +9,6 @@ from gradflux import (
     example1,
     gradient,
     norm,
-    validate,
 )
 
 
@@ -39,49 +38,6 @@ class TestExample1:
 
     def test_exact_solution_vanishes_on_boundary(self, prob100):
         assert np.abs(prob100.exact_u.boundary_values()).max() == 0.0
-
-
-class TestValidate:
-    def test_example1_measurements(self, prob100):
-        report = validate(prob100)
-        assert report.m == 1.0
-        assert report.M == pytest.approx(np.sqrt(5.0))
-        assert report.H_linf == 1.0
-        assert report.k1 > 0
-        assert report.warnings == ()
-        assert report.poincare_ok is None
-
-    def test_trivial_instance(self):
-        g = GridSpec(12)
-        p = ProblemData(
-            g,
-            a=ScalarField.full(g, 1.0),
-            F=VectorField.zeros(g),
-            H=ScalarField.zeros(g),
-        )
-        report = validate(p)
-        assert report.m == report.M == 1.0
-        assert report.k1 == 0.0
-        assert report.warnings == ()
-
-    def test_negative_weight_warns(self):
-        g = GridSpec(8)
-        vals = np.ones(g.shape)
-        vals[3, 3] = -1.0
-        p = ProblemData(
-            g, a=ScalarField(g, vals), F=VectorField.zeros(g), H=ScalarField.zeros(g)
-        )
-        report = validate(p)
-        assert "weight not positive" in report.warnings
-
-    def test_poincare_condition(self, prob100):
-        assert validate(prob100, C_Omega=0.5).poincare_ok is True
-        bad = validate(prob100, C_Omega=2.0)
-        assert bad.poincare_ok is False
-        assert any("forcing bound" in w for w in bad.warnings)
-
-    def test_idempotent(self, prob100):
-        assert validate(prob100) == validate(prob100)
 
 
 class TestProblemData:

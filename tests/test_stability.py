@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from gradflux import (
     GridSpec,
     PoissonSolver,
+    ScalarField,
     SolverConfig,
     SweepSpec,
     example1,
     fit_rate,
     flux,
+    integrate,
     make_perturbed,
+    norm,
     run_sweep,
     solve,
     table1_experiment,
@@ -33,7 +36,7 @@ class TestFitRate:
     def test_quadratic_law_zero_residual(self):
         fit = fit_rate([(1.0, 1.0), (2.0, 4.0), (4.0, 16.0)])
         assert fit.slope == pytest.approx(2.0, rel=1e-12)
-        assert fit.residual == pytest.approx(0.0, abs=1e-20)
+        assert fit.intercept == pytest.approx(0.0, abs=1e-12)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(ValueError, match="2 points"):
@@ -173,6 +176,34 @@ class TestRunSweepSmall:
         base = solve(p, FAST, poisson)
         report = run_sweep(p, SweepSpec(param="a", epsilons=(0.02,), solver=FAST), poisson, base=base)
         assert report.base_result is base
+
+
+def test_conservative_drift_sweep_matches_closed_form():
+    """The f sweep adds eps * grad_h(bump) to the drift, bump = sin(pi x) sin(pi y).
+
+    grad_h is linear and bump vanishes on the boundary, so the perturbed grid
+    minimizer is exactly u0 - eps * bump, with J and sigma unchanged.  On this
+    sweep err_u_l1 and energy_diff have closed forms, and err_J_l1,
+    err_sigma_l1 and misalignment are stop error, not a stability response.
+    Measured at n=24: relative deviations up to 8.8e-7 (err_u_l1) and 6.1e-6
+    (energy_diff); err_J_l1 and err_sigma_l1 at most 5.1e-5 and 8.6e-4 of
+    err_u_l1; misalignment at most 2.8e-12.  Each bound keeps a 10x margin.
+    """
+    g = GridSpec(24)
+    p = example1(g)
+    report = run_sweep(p, SweepSpec(param="f", epsilons=(0.04, 0.02, 0.01, 0.005)))
+    x, y = g.meshgrid()
+    bump = ScalarField(g, np.sin(np.pi * x) * np.sin(np.pi * y))
+    bump_l1 = norm(bump, "l1")
+    h_bump = abs(integrate(ScalarField(g, p.H.values * bump.values)))
+    assert [r.eps for r in report.rows] == [0.04, 0.02, 0.01, 0.005]
+    for row in report.rows:
+        assert row.valid
+        assert row.err_u_l1 == pytest.approx(row.eps * bump_l1, rel=1e-3)
+        assert row.energy_diff == pytest.approx(row.eps * h_bump, rel=1e-3)
+        assert row.err_J_l1 <= 1e-3 * row.err_u_l1
+        assert row.err_sigma_l1 <= 1e-2 * row.err_u_l1
+        assert row.misalignment <= 1e-9
 
 
 class TestTable1Small:
