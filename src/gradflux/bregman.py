@@ -2,7 +2,7 @@
 
 Each sweep performs one Dirichlet Poisson solve
 
-    laplacian(u) = -div(b - d) + H / lam,
+    laplacian(u) = div(d - b) + H / lam,
 
 then the pointwise shrinkage producing the splitting variable d, and the
 Bregman update b <- b + grad(u) - d.  The shrinkage folds the drift into d
@@ -38,10 +38,10 @@ class SolverConfig:
     record_history: bool = False
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
+        if not (np.isfinite(self.lam) and self.lam > 0):
+            raise ValueError("lam must be positive and finite")
+        if not (np.isfinite(self.tol) and self.tol > 0):
+            raise ValueError("tol must be positive and finite")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 
@@ -75,21 +75,27 @@ def shrink_step(
     b: VectorField, grad_u: VectorField, F: VectorField, a: ScalarField, lam: float
 ) -> VectorField:
     """Pointwise shrinkage: with s = b + grad_u + F, return
-    max(|s| - a/lam, 0) * s/|s| - F, and -F where |s| vanishes."""
+    max(|s| - a/lam, 0) * s/|s| - F, and -F where |s| <= 1e-14.
+
+    |s| is sqrt(sx*sx + sy*sy), within a few ulps of hypot.  It is finite
+    for component sizes up to about 1e154; beyond that it overflows, the
+    result holds nan, and the returned field rejects it as non-finite.
+    """
     if lam <= 0:
         raise ValueError("lam must be positive")
-    sx = b.x.values + grad_u.x.values + F.x.values
-    sy = b.y.values + grad_u.y.values + F.y.values
-    mag = np.hypot(sx, sy)
-    nonzero = mag > 1e-14
-    scale = np.where(
-        nonzero,
-        np.maximum(mag - a.values / lam, 0.0) / np.where(nonzero, mag, 1.0),
-        0.0,
-    )
-    return VectorField.from_arrays(
-        b.grid, scale * sx - F.x.values, scale * sy - F.y.values
-    )
+    sx = b.x.values + grad_u.x.values
+    sx += F.x.values
+    sy = b.y.values + grad_u.y.values
+    sy += F.y.values
+    mag = np.sqrt(sx * sx + sy * sy)
+    shrunk = mag - a.values / lam
+    np.maximum(shrunk, 0.0, out=shrunk)
+    scale = np.divide(shrunk, mag, out=np.zeros_like(mag), where=mag > 1e-14)
+    sx *= scale
+    sx -= F.x.values
+    sy *= scale
+    sy -= F.y.values
+    return VectorField.from_arrays(b.grid, sx, sy)
 
 
 def iterate(
@@ -97,7 +103,7 @@ def iterate(
 ) -> SolverState:
     """One sweep of the iteration; exactly one Poisson solve per call."""
     lam = cfg.lam
-    rhs_vals = -divergence(state.b - state.d).values + p.H.values / lam
+    rhs_vals = divergence(state.d - state.b).values + p.H.values / lam
     u_new = solver.solve_dirichlet(ScalarField(p.grid, rhs_vals))
     gu = gradient(u_new)
     d_new = shrink_step(state.b, gu, p.F, p.a, lam)

@@ -121,6 +121,10 @@ def build_config(raw: dict[str, str], command: str) -> RunConfig:
 
 
 def _range_checks(cfg: RunConfig, command: str) -> None:
+    for key, attr in _FIELDS.items():
+        kind = _TYPES[attr]
+        if float in (kind, *get_args(kind)) and not np.all(np.isfinite(getattr(cfg, attr))):
+            raise UsageError(f"key {key!r} must be finite")
     if cfg.n < 2:
         raise UsageError("key 'n' must be at least 2")
     if cfg.lam <= 0:

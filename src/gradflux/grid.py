@@ -84,7 +84,7 @@ class ScalarField:
             raise ValueError(
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
             )
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("field contains non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)

@@ -48,7 +48,8 @@ class PoissonSolver:
             )
         f = rhs.values[1:-1, 1:-1]
         fh = scipy.fft.dstn(f, type=1, norm="ortho")
-        ui = scipy.fft.dstn(fh / self._eigenvalues, type=1, norm="ortho")
+        fh /= self._eigenvalues
+        ui = scipy.fft.dstn(fh, type=1, norm="ortho")
         out = np.zeros(self.grid.shape)
         out[1:-1, 1:-1] = ui
         return ScalarField(self.grid, out)

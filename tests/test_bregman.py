@@ -9,6 +9,7 @@ from gradflux import (
     SolverConfig,
     SolverState,
     VectorField,
+    divergence,
     flux,
     gradient,
     iterate,
@@ -23,6 +24,18 @@ def homogeneous_problem(n=16):
     return ProblemData(
         g, a=ScalarField.full(g, 1.0), F=VectorField.zeros(g), H=ScalarField.zeros(g)
     )
+
+
+def hypot_shrink(b, grad_u, F, a, lam):
+    """The shrinkage written with np.hypot and np.where, as a reference."""
+    sx = b.x.values + grad_u.x.values + F.x.values
+    sy = b.y.values + grad_u.y.values + F.y.values
+    mag = np.hypot(sx, sy)
+    nonzero = mag > 1e-14
+    scale = np.where(
+        nonzero, np.maximum(mag - a.values / lam, 0.0) / np.where(nonzero, mag, 1.0), 0.0
+    )
+    return scale * sx - F.x.values, scale * sy - F.y.values
 
 
 class TestShrinkStep:
@@ -66,8 +79,85 @@ class TestShrinkStep:
         scale = max(5.0 - 2.0, 0.0) / 5.0
         assert np.allclose(out.x.values, scale * 3.0)
 
+    def test_magnitude_overflow_is_rejected(self):
+        # |s| = sqrt(sx*sx + sy*sy) is finite up to about 1e154 per component
+        g = GridSpec(4)
+        zero, a = VectorField.zeros(g), ScalarField.full(g, 1.0)
+
+        def diagonal(size):
+            return VectorField.from_arrays(g, np.full(g.shape, size), np.full(g.shape, size))
+
+        assert np.all(shrink_step(diagonal(1e153), zero, zero, a, 1.0).x.values == 1e153)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError, match="non-finite"):
+                shrink_step(diagonal(1e155), zero, zero, a, 1.0)
+
+    @pytest.mark.parametrize("n, seed", [(8, 0), (8, 1), (100, 2)])
+    def test_matches_hypot_reference(self, n, seed):
+        g = GridSpec(n)
+        rng = np.random.default_rng(seed)
+        bx, by, gx, gy, fx, fy = rng.standard_normal((6,) + g.shape)
+        av = rng.uniform(0.5, 2.0, g.shape)
+        # s = 0 exactly on the first row; |s| is below a/lam on the second;
+        # on the third 0 < |s| <= 1e-14 < a/lam fails, so only the mask gives -F
+        gx[0] = gy[0] = 0.0
+        bx[0], by[0] = -fx[0], -fy[0]
+        bx[1], by[1] = 0.1 - gx[1] - fx[1], 0.1 - gy[1] - fy[1]
+        gx[2] = gy[2] = 0.0
+        bx[2], by[2] = 3e-15 - fx[2], 4e-15 - fy[2]
+        av[2] = 1e-20
+        a = ScalarField(g, av)
+        b, gu, F = (
+            VectorField.from_arrays(g, vx, vy)
+            for vx, vy in ((bx, by), (gx, gy), (fx, fy))
+        )
+        sx, sy = bx + gx + fx, by + gy + fy
+        assert np.all(sx[0] == 0.0) and np.all(sy[0] == 0.0)
+        tiny = np.hypot(sx[2], sy[2])
+        assert np.all((tiny > av[2]) & (tiny <= 1e-14))
+        clamped = np.hypot(sx, sy) <= av
+        assert clamped[1].all() and 0 < clamped[2:].sum() < clamped[2:].size
+
+        out = shrink_step(b, gu, F, a, 1.0)
+        ref_x, ref_y = hypot_shrink(b, gu, F, a, 1.0)
+        ulp = np.spacing(np.abs(sx) + np.abs(sy) + np.abs(fx) + np.abs(fy))
+        assert np.all(np.abs(out.x.values - ref_x) <= 4 * ulp)
+        assert np.all(np.abs(out.y.values - ref_y) <= 4 * ulp)
+        assert np.array_equal(out.x.values[:3], -fx[:3])
+        assert np.array_equal(out.y.values[:3], -fy[:3])
+        assert np.array_equal(out.x.values[clamped], -fx[clamped])
+        assert np.array_equal(out.y.values[clamped], -fy[clamped])
+
 
 class TestIterate:
+    def test_rhs_matches_negated_divergence_bitwise(self):
+        g = GridSpec(24)
+        rng = np.random.default_rng(3)
+        p = ProblemData(
+            g,
+            a=ScalarField(g, rng.uniform(0.5, 2.0, g.shape)),
+            F=VectorField.from_arrays(g, *rng.standard_normal((2,) + g.shape)),
+            H=ScalarField(g, rng.standard_normal(g.shape)),
+        )
+        b, d = (
+            VectorField.from_arrays(g, *rng.standard_normal((2,) + g.shape))
+            for _ in range(2)
+        )
+        state = SolverState(u=ScalarField(g, rng.standard_normal(g.shape)), b=b, d=d, k=7)
+        lam, solver = 0.7, PoissonSolver(g)
+        rhs = -divergence(b - d).values + p.H.values / lam
+        u_ref = solver.solve_dirichlet(ScalarField(g, rhs))
+        gu = gradient(u_ref)
+        d_ref = shrink_step(b, gu, p.F, p.a, lam)
+        b_ref = b + gu - d_ref
+
+        new = iterate(state, p, SolverConfig(lam=lam), solver)
+        assert new.u.values.tobytes() == u_ref.values.tobytes()
+        for got, ref in ((new.d, d_ref), (new.b, b_ref)):
+            assert got.x.values.tobytes() == ref.x.values.tobytes()
+            assert got.y.values.tobytes() == ref.y.values.tobytes()
+        assert new.k == 8
+
     def test_homogeneous_fixed_point_at_zero(self):
         p = homogeneous_problem()
         state = SolverState.initial(p.grid)
@@ -146,6 +236,11 @@ class TestSolve:
             SolverConfig(lam=0.0)
         with pytest.raises(ValueError):
             SolverConfig(tol=-1.0)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="lam must be positive and finite"):
+                SolverConfig(lam=bad)
+            with pytest.raises(ValueError, match="tol must be positive and finite"):
+                SolverConfig(tol=bad)
 
 
 class TestConvergedProperties:

@@ -71,6 +71,17 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="f always moves by the potential bump"):
             build_config({"param": "f", "mode": "smooth-bump"}, "sweep")
 
+    @pytest.mark.parametrize("key, value, command", [
+        ("lambda", "nan", "solve"), ("lambda", "inf", "solve"), ("tol", "nan", "solve"),
+        ("delta", "nan", "solve"), ("eta", "-inf", "certify"),
+        ("deltas", "0.01, nan", "table1"), ("epsilons", "inf, 0.01", "sweep")])
+    def test_non_finite_numbers_rejected(self, key, value, command, tmp_path, capsys):
+        with pytest.raises(UsageError, match=f"key '{key}' must be finite"):
+            build_config({key: value}, command)
+        cfg = write_cfg(tmp_path / "c.cfg", n=8, **{key: value})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"'{key}' must be finite" in capsys.readouterr().err
+
     def test_empty_list_rejected(self):
         with pytest.raises(UsageError, match="non-empty"):
             build_config({"epsilons": ""}, "sweep")
