@@ -16,7 +16,6 @@ from .grid import (
 )
 from .levelset import level_set_length, level_set_lengths
 from .perturb import (
-    NoiseSpec,
     PerturbedProblem,
     apply_table1_noise,
     make_perturbed,

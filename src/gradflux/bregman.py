@@ -42,6 +42,8 @@ class SolverConfig:
             raise ValueError("lam must be positive and finite")
         if not (np.isfinite(self.tol) and self.tol > 0):
             raise ValueError("tol must be positive and finite")
+        if isinstance(self.max_iter, bool) or not isinstance(self.max_iter, (int, np.integer)):
+            raise ValueError(f"max_iter must be an integer, got {self.max_iter!r}")
         if self.max_iter < 0:
             raise ValueError("max_iter must be nonnegative")
 

@@ -258,7 +258,7 @@ def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
     else:
         raise UsageError("contour needs 'u_file' or a problem with a known solution")
     v = u if p.potential_f is None else u + p.potential_f
-    table = level_set_lengths(v, num_levels=50)
+    table = level_set_lengths(v)
     sup_len = max(length for _, length in table)
     comments = resolved_lines(cfg, "contour")
     comments.append(f"summary: sup_length = {sup_len:.17g} over {len(table)} levels")

@@ -1,10 +1,11 @@
 """Flat ``key = value`` run configuration.
 
 Every numeric default mirrors the reference experiments (n=100, lambda=1,
-tol=1e-7).  Keys are range-checked before any compute happens, unknown or
-out-of-place keys are rejected with a message naming the key, and the fully
-resolved configuration can be rendered as stable comment lines so every
-output CSV embeds the settings that produced it.
+tol=1e-7), read from the library type that uses it where one does.  Keys are
+range-checked before any compute happens, mostly by building those types;
+unknown or out-of-place keys are rejected with a message naming the key; and
+the fully resolved configuration can be rendered as stable comment lines so
+every output CSV embeds the settings that produced it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,10 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .perturb import check_param_mode
+from .bregman import SolverConfig
+from .duality import ETA
+from .grid import GridSpec
+from .stability import TABLE1_DELTAS, SweepSpec
 
 __all__ = ["UsageError", "RunConfig", "parse_config_file", "build_config"]
 
@@ -27,16 +31,16 @@ class UsageError(ValueError):
 @dataclass
 class RunConfig:
     n: int = 100
-    lam: float = 1.0
-    tol: float = 1e-7
-    max_iter: int = 5000
-    eta: float = 1e-8
+    lam: float = SolverConfig.lam
+    tol: float = SolverConfig.tol
+    max_iter: int = SolverConfig.max_iter
+    eta: float = ETA
     delta: float = 0.0
-    deltas: tuple[float, ...] = (0.01, 0.035, 0.06)
+    deltas: tuple[float, ...] = TABLE1_DELTAS
     seeds: tuple[int, ...] = tuple(range(10))
     param: str = "a"
     epsilons: tuple[float, ...] = (0.04, 0.02, 0.01, 0.005)
-    mode: str = "constant-shift"
+    mode: str = SweepSpec.mode
     problem: str = "example1"
     a_file: str | None = None
     f_file: str | None = None
@@ -125,34 +129,22 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
         kind = _TYPES[attr]
         if float in (kind, *get_args(kind)) and not np.all(np.isfinite(getattr(cfg, attr))):
             raise UsageError(f"key {key!r} must be finite")
-    if cfg.n < 2:
-        raise UsageError("key 'n' must be at least 2")
     if cfg.lam <= 0:
         raise UsageError("key 'lambda' must be positive")
-    if cfg.tol <= 0:
-        raise UsageError("key 'tol' must be positive")
-    if cfg.max_iter < 0:
-        raise UsageError("key 'max_iter' must be nonnegative")
-    if cfg.eta <= 0:
-        raise UsageError("key 'eta' must be positive")
+    try:
+        GridSpec(cfg.n)
+        SolverConfig(cfg.lam, cfg.tol, cfg.max_iter)
+        SweepSpec(cfg.param, cfg.epsilons, cfg.mode, cfg.seeds, eta=cfg.eta)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     if cfg.delta < 0:
         raise UsageError("key 'delta' must be nonnegative")
     if any(d < 0 for d in cfg.deltas):
         raise UsageError("key 'deltas' must be nonnegative")
     if any(s < 0 for s in cfg.seeds):
         raise UsageError("key 'seeds' must be nonnegative integers")
-    try:
-        check_param_mode(cfg.param, cfg.mode)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
     if cfg.problem not in ("example1", "files"):
         raise UsageError("key 'problem' must be example1 or files")
-    if any(e < 0 for e in cfg.epsilons):
-        raise UsageError("key 'epsilons' must be nonnegative")
-    if any(
-        cfg.epsilons[i] <= cfg.epsilons[i + 1] for i in range(len(cfg.epsilons) - 1)
-    ):
-        raise UsageError("key 'epsilons' must be strictly decreasing")
     if command == "table1" and cfg.problem != "example1":
         raise UsageError("table1 runs on the built-in example1 instance only")
     if cfg.problem == "files":

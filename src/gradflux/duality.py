@@ -23,6 +23,8 @@ from .grid import ScalarField, VectorField, divergence, gradient, integrate
 from .problems import ProblemData
 
 __all__ = [
+    "ETA",
+    "check_eta",
     "FluxPair",
     "Certificate",
     "flux",
@@ -31,6 +33,15 @@ __all__ = [
     "certify",
     "divergence_residual_l1",
 ]
+
+
+ETA = 1e-8  # default degenerate-gradient safeguard
+
+
+def check_eta(eta: float) -> None:
+    """Reject a safeguard that is not finite and positive."""
+    if not (np.isfinite(eta) and eta > 0):
+        raise ValueError("eta must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -58,10 +69,9 @@ class Certificate:
         return asdict(self)
 
 
-def flux(u: ScalarField, p: ProblemData, eta: float = 1e-8) -> FluxPair:
+def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
     """Build J = sigma (grad u + F), masking nodes with |grad u + F| < eta."""
-    if eta <= 0:
-        raise ValueError("eta must be positive")
+    check_eta(eta)
     g = gradient(u) + p.F
     mag = np.hypot(g.x.values, g.y.values)
     mask = mag >= eta
@@ -103,7 +113,7 @@ def divergence_residual_l1(
     return float(J.grid.h ** 2 * r.sum())
 
 
-def certify(u: ScalarField, p: ProblemData, eta: float = 1e-8) -> Certificate:
+def certify(u: ScalarField, p: ProblemData, eta: float = ETA) -> Certificate:
     """Assemble the optimality certificate for a candidate minimizer."""
     fp = flux(u, p, eta)
     primal = primal_energy(u, p)

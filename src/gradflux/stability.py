@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bregman import SolveResult, SolverConfig, solve
-from .duality import flux, primal_energy
+from .duality import ETA, check_eta, flux, primal_energy
 from .grid import GridSpec, gradient, norm
 from .perturb import PerturbedProblem, apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
@@ -49,6 +49,7 @@ __all__ = [
     "RATE_EXPONENTS",
     "SLOPE_THRESHOLDS",
     "BOUND_SLACK",
+    "TABLE1_DELTAS",
 ]
 
 SWEEP_COLUMNS = (
@@ -72,6 +73,7 @@ RATE_EXPONENTS = {
 SLOPE_THRESHOLDS = {0.5: 0.45, 0.25: 0.20}
 # Discretization allowance on the explicit-constant drift bounds.
 BOUND_SLACK = 0.1
+TABLE1_DELTAS = (0.01, 0.035, 0.06)  # noise levels of the robustness table
 
 
 class BaseNotConvergedError(RuntimeError):
@@ -87,23 +89,22 @@ class SweepSpec:
     mode: str = "constant-shift"
     seeds: tuple[int, ...] = ()
     solver: SolverConfig = field(default_factory=SolverConfig)
-    eta: float = 1e-8
+    eta: float = ETA
 
     def __post_init__(self):
         check_param_mode(self.param, self.mode)
+        check_eta(self.eta)
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValueError("epsilon list must not be empty")
-        if any(e < 0 for e in eps):
-            raise ValueError("epsilons must be nonnegative")
+        if not all(np.isfinite(e) and e >= 0 for e in eps):
+            raise ValueError("epsilons must be nonnegative and finite")
         if any(eps[i] <= eps[i + 1] for i in range(len(eps) - 1)):
             raise ValueError("epsilons must be strictly decreasing")
         object.__setattr__(self, "epsilons", eps)
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.mode == "noise" and not self.seeds:
             raise ValueError("stochastic sweeps need at least one seed")
-        if self.eta <= 0:
-            raise ValueError("eta must be positive")
 
 
 @dataclass(frozen=True)
@@ -379,7 +380,7 @@ def table1_experiment(
     cfg: SolverConfig,
     seeds,
     n: int = 100,
-    deltas=(0.01, 0.035, 0.06),
+    deltas=TABLE1_DELTAS,
 ) -> Table1Report:
     """Noise-robustness table: noise H, a, F jointly and measure errors vs exact.
 

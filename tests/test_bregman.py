@@ -241,6 +241,12 @@ class TestSolve:
                 SolverConfig(lam=bad)
             with pytest.raises(ValueError, match="tol must be positive and finite"):
                 SolverConfig(tol=bad)
+        for bad in (2.5, True, "10"):
+            with pytest.raises(ValueError, match="max_iter must be an integer"):
+                SolverConfig(max_iter=bad)
+        with pytest.raises(ValueError, match="max_iter must be nonnegative"):
+            SolverConfig(max_iter=-1)
+        assert SolverConfig(max_iter=np.int64(3)).max_iter == 3
 
 
 class TestConvergedProperties:

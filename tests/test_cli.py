@@ -82,6 +82,23 @@ class TestConfigParsing:
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert f"'{key}' must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value, command, message", [
+        ("n", "1", "solve", "grid needs an integer n >= 2, got n=1"),
+        ("tol", "0", "solve", "tol must be positive and finite"),
+        ("max_iter", "-1", "table1", "max_iter must be nonnegative"),
+        ("eta", "0", "certify", "eta must be positive and finite"),
+        ("epsilons", "-0.01", "sweep", "epsilons must be nonnegative and finite")])
+    def test_out_of_range_rejected_by_library_rule(
+        self, key, value, command, message, tmp_path, capsys
+    ):
+        with pytest.raises(UsageError, match=re.escape(message)):
+            build_config({key: value}, command)
+        cfg = write_cfg(tmp_path / "c.cfg", **{key: value})
+        out = tmp_path / "o"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == f"gradflux: {message}\n"
+        assert not out.exists()
+
     def test_empty_list_rejected(self):
         with pytest.raises(UsageError, match="non-empty"):
             build_config({"epsilons": ""}, "sweep")

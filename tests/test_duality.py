@@ -9,6 +9,7 @@ from gradflux import (
     certify,
     divergence,
     dual_value,
+    example1,
     flux,
     gradient,
     norm,
@@ -50,6 +51,14 @@ class TestFlux:
         assert not fp.mask.any()
         assert np.all(fp.J.x.values == 0.0)
         assert np.all(fp.sigma.values == 0.0)
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1e-8])
+    def test_bad_eta_rejected_by_flux_and_certify(self, eta):
+        p = example1(GridSpec(16))
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            flux(p.exact_u, p, eta)
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            certify(p.exact_u, p, eta)
 
     def test_flux_magnitude_equals_weight_on_mask(self, prob100, solved100):
         fp = flux(solved100.state.u, prob100)

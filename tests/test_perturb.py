@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from gradflux import (
     GridSpec,
-    NoiseSpec,
     ProblemData,
     ScalarField,
     gradient,
@@ -25,7 +24,7 @@ def frob(a):
 
 class TestNoiseScalar:
     def test_zero_level_is_identity(self, prob100):
-        out = noise_scalar(prob100.H, NoiseSpec(0.0, seed=3))
+        out = noise_scalar(prob100.H, 0.0, 3)
         assert out is prob100.H
 
     @given(delta=st.floats(1e-6, 0.5), seed=st.integers(0, 2**32 - 1))
@@ -33,42 +32,50 @@ class TestNoiseScalar:
     def test_relative_change_equals_level_exactly(self, delta, seed):
         g = GridSpec(12)
         f = ScalarField.from_function(g, lambda x, y: 1.0 + x + y * y)
-        out = noise_scalar(f, NoiseSpec(delta, seed))
+        out = noise_scalar(f, delta, seed)
         rel = frob(out.values - f.values) / frob(f.values)
         assert rel == pytest.approx(delta, rel=1e-12)
 
     def test_deterministic_per_seed(self, prob100):
-        spec = NoiseSpec(0.05, seed=123)
-        a = noise_scalar(prob100.a, spec)
-        b = noise_scalar(prob100.a, spec)
+        a = noise_scalar(prob100.a, 0.05, 123)
+        b = noise_scalar(prob100.a, 0.05, 123)
         assert np.array_equal(a.values, b.values)
 
     def test_different_seeds_differ_within_twice_level(self):
         g = GridSpec(20)
         f = ScalarField.full(g, 2.0)
         delta = 0.03
-        a = noise_scalar(f, NoiseSpec(delta, seed=1))
-        b = noise_scalar(f, NoiseSpec(delta, seed=2))
+        a = noise_scalar(f, delta, 1)
+        b = noise_scalar(f, delta, 2)
         rel = frob(a.values - b.values) / frob(f.values)
         assert 0.0 < rel <= 2 * delta + 1e-15
 
     def test_zero_field_with_noise_is_error(self):
         g = GridSpec(8)
         with pytest.raises(ValueError, match="noise scale undefined"):
-            noise_scalar(ScalarField.zeros(g), NoiseSpec(0.1, seed=0))
+            noise_scalar(ScalarField.zeros(g), 0.1, 0)
 
-    def test_negative_level_rejected(self):
-        with pytest.raises(ValueError):
-            NoiseSpec(-0.1, seed=0)
+    def test_negative_level_rejected(self, prob100):
+        with pytest.raises(ValueError, match="noise level must be nonnegative"):
+            noise_scalar(prob100.a, -0.1, 0)
+
+    @pytest.mark.parametrize("delta", [np.nan, np.inf])
+    def test_non_finite_level_rejected(self, prob100, delta):
+        with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+            noise_scalar(prob100.a, delta, 0)
+        with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+            noise_vector(prob100.F, delta, 0)
+        with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+            make_perturbed(prob100, "a", delta, "noise", seed=0)
 
 
 class TestNoiseVector:
     def test_zero_level_is_identity(self, prob100):
-        assert noise_vector(prob100.F, NoiseSpec(0.0, seed=1)) is prob100.F
+        assert noise_vector(prob100.F, 0.0, 1) is prob100.F
 
     def test_joint_relative_change_equals_level(self, prob100):
         delta = 0.04
-        out = noise_vector(prob100.F, NoiseSpec(delta, seed=9))
+        out = noise_vector(prob100.F, delta, 9)
         num = np.sqrt(
             frob(out.x.values - prob100.F.x.values) ** 2
             + frob(out.y.values - prob100.F.y.values) ** 2
@@ -77,9 +84,8 @@ class TestNoiseVector:
         assert num / den == pytest.approx(delta, rel=1e-12)
 
     def test_deterministic_per_seed(self, prob100):
-        spec = NoiseSpec(0.02, seed=77)
-        a = noise_vector(prob100.F, spec)
-        b = noise_vector(prob100.F, spec)
+        a = noise_vector(prob100.F, 0.02, 77)
+        b = noise_vector(prob100.F, 0.02, 77)
         assert np.array_equal(a.x.values, b.x.values)
         assert np.array_equal(a.y.values, b.y.values)
 

@@ -89,6 +89,18 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="seed"):
             SweepSpec(param="a", epsilons=(0.1,), mode="noise")
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_epsilons_rejected(self, bad):
+        with pytest.raises(ValueError, match="epsilons must be nonnegative and finite"):
+            SweepSpec(param="a", epsilons=(bad,))
+        with pytest.raises(ValueError, match="epsilons must be nonnegative and finite"):
+            SweepSpec(param="a", epsilons=(0.04, bad))
+
+    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1e-8])
+    def test_bad_eta_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be positive and finite"):
+            SweepSpec(param="a", epsilons=(0.02,), eta=eta)
+
     def test_smooth_bump_on_drift_rejected(self):
         with pytest.raises(ValueError, match="f always moves by the potential bump"):
             SweepSpec(param="f", epsilons=(0.1,), mode="smooth-bump")
