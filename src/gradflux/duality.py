@@ -69,11 +69,13 @@ class Certificate:
         return asdict(self)
 
 
-def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
-    """Build J = sigma (grad u + F), masking nodes with |grad u + F| < eta."""
-    check_eta(eta)
+def _drift_gradient(u: ScalarField, p: ProblemData) -> tuple[VectorField, np.ndarray]:
+    """grad u + F and its magnitude at every node."""
     g = gradient(u) + p.F
-    mag = np.hypot(g.x.values, g.y.values)
+    return g, np.hypot(g.x.values, g.y.values)
+
+
+def _flux(u: ScalarField, p: ProblemData, g: VectorField, mag: np.ndarray, eta: float) -> FluxPair:
     mask = mag >= eta
     safe = np.where(mask, mag, 1.0)
     sigma = np.where(mask, p.a.values / safe, 0.0)
@@ -86,11 +88,19 @@ def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
     )
 
 
+def _energy(u: ScalarField, p: ProblemData, mag: np.ndarray) -> float:
+    return integrate(ScalarField(u.grid, p.a.values * mag + p.H.values * u.values))
+
+
+def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
+    """Build J = sigma (grad u + F), masking nodes with |grad u + F| < eta."""
+    check_eta(eta)
+    return _flux(u, p, *_drift_gradient(u, p), eta)
+
+
 def primal_energy(u: ScalarField, p: ProblemData) -> float:
     """Energy integral( a |grad u + F| + H u ) of a boundary-vanishing field."""
-    g = gradient(u) + p.F
-    mag = np.hypot(g.x.values, g.y.values)
-    return integrate(ScalarField(u.grid, p.a.values * mag + p.H.values * u.values))
+    return _energy(u, p, _drift_gradient(u, p)[1])
 
 
 def dual_value(J: VectorField, F: VectorField) -> float:
@@ -115,8 +125,10 @@ def divergence_residual_l1(
 
 def certify(u: ScalarField, p: ProblemData, eta: float = ETA) -> Certificate:
     """Assemble the optimality certificate for a candidate minimizer."""
-    fp = flux(u, p, eta)
-    primal = primal_energy(u, p)
+    check_eta(eta)
+    g, mag = _drift_gradient(u, p)  # shared by the flux and the primal energy
+    fp = _flux(u, p, g, mag, eta)
+    primal = _energy(u, p, mag)
     dual = dual_value(fp.J, p.F)
     jmag = np.hypot(fp.J.x.values, fp.J.y.values)
     violation = float(np.maximum(jmag - p.a.values, 0.0).max())

@@ -28,9 +28,9 @@ class FieldFormatError(ValueError):
 def write_field(field: ScalarField, path, kind: str = "u", problem: str = "custom") -> None:
     if re.search(r"\s", kind) or re.search(r"\s", problem):
         raise ValueError("kind and problem tags must not contain whitespace")
+    row = " ".join(["%.17g"] * (field.grid.n + 1))
     lines = [f"gradflux-field n={field.grid.n} kind={kind} problem={problem}"]
-    for row in field.values:
-        lines.append(" ".join(f"{v:.17g}" for v in row))
+    lines.extend(row % tuple(values) for values in field.values.tolist())
     Path(path).write_text("\n".join(lines) + "\n")
 
 
@@ -41,10 +41,11 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
         text = path.read_text()
     except OSError as exc:
         raise FieldFormatError(f"{path}: cannot read field file ({exc})") from exc
-    lines = text.splitlines()
-    if not lines or not lines[0].strip():
+    # the first line as splitlines() ends it, without splitting the body into lines
+    header = (text.partition("\n")[0].splitlines() or [""])[0]
+    if not header.strip():
         raise FieldFormatError(f"{path}: missing header")
-    m = _HEADER_RE.match(lines[0])
+    m = _HEADER_RE.match(header)
     if m is None:
         raise FieldFormatError(
             f"{path}:1: malformed header (expected 'gradflux-field n=<n> kind=<kind> "
@@ -53,9 +54,23 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
     n, kind, problem = int(m.group(1)), m.group(2), m.group(3)
     if n < 2:
         raise FieldFormatError(f"{path}:1: header n={n} is below the minimum of 2")
+    # One parse for the whole body: numpy converts each str token with
+    # Python's float(), so it accepts the same tokens with the same bits.
+    try:
+        arr = np.array(text[len(header):].split(), dtype=float)
+    except ValueError:
+        arr = None
+    if arr is None or arr.size != (n + 1) * (n + 1) or not np.isfinite(arr).all():
+        arr = _parse_lines(path, text, n)
+    return ScalarField(GridSpec(n), arr.reshape(n + 1, n + 1)), kind, problem
+
+
+def _parse_lines(path: Path, text: str, n: int) -> np.ndarray:
+    """Parse the body line by line, raising the error that names the first
+    bad line: an unparsable token, then a count mismatch, then a non-finite value."""
     values: list[float] = []
     line_ends: list[int] = []  # len(values) after each data line
-    for lineno, line in enumerate(lines[1:], start=2):
+    for lineno, line in enumerate(text.splitlines()[1:], start=2):
         for tok in line.split():
             try:
                 values.append(float(tok))
@@ -75,5 +90,4 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
     if bad.size:
         lineno = 2 + bisect_right(line_ends, bad[0])
         raise FieldFormatError(f"{path}:{lineno}: non-finite value {float(arr[bad[0]])!r}")
-    arr = arr.reshape(n + 1, n + 1)
-    return ScalarField(GridSpec(n), arr), kind, problem
+    return arr

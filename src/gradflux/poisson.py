@@ -4,7 +4,8 @@
 Laplacian (the divergence-of-gradient composition from :mod:`gradflux.grid`)
 matches the right-hand side at every interior node.  It diagonalizes the
 interior operator with the type-I discrete sine transform, making the solve
-exact up to roundoff in O(n^2 log n).
+exact up to roundoff in O(n^2 log n).  ``scipy.fft`` is imported by the first
+solve, so commands that never solve do not load it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.fft
 
 from .grid import GridSpec, ScalarField
 
@@ -36,6 +36,12 @@ class PoissonSolver:
         ev.setflags(write=False)
         return ev
 
+    @cached_property
+    def _dst(self):
+        import scipy.fft
+
+        return scipy.fft.dstn
+
     def solve_dirichlet(self, rhs: ScalarField) -> ScalarField:
         """Solve laplacian(u) = rhs at interior nodes with u = 0 on the boundary.
 
@@ -46,10 +52,10 @@ class PoissonSolver:
                 f"right-hand side grid (n={rhs.grid.n}) does not match solver grid "
                 f"(n={self.grid.n})"
             )
-        f = rhs.values[1:-1, 1:-1]
-        fh = scipy.fft.dstn(f, type=1, norm="ortho")
+        dst = self._dst
+        fh = dst(rhs.values[1:-1, 1:-1], type=1, norm="ortho")
         fh /= self._eigenvalues
-        ui = scipy.fft.dstn(fh, type=1, norm="ortho")
+        ui = dst(fh, type=1, norm="ortho")
         out = np.zeros(self.grid.shape)
         out[1:-1, 1:-1] = ui
         return ScalarField(self.grid, out)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from gradflux import GridSpec, ScalarField, example1, level_set_length, level_set_lengths
+from gradflux import GridSpec, ScalarField, example1, level_set_length, level_set_lengths, levelset
 
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
 
@@ -69,6 +69,33 @@ def test_array_pass_equals_loop_oracle_bitwise(name):
         warnings.simplefilter("error")
         for t in _oracle_levels(v):
             assert level_set_length(v, t) == loop_oracle(v, t), t
+
+
+# a seeded random walk: smooth enough for long contours, rough enough for saddles
+SEEDED = ScalarField(
+    GridSpec(64), np.random.default_rng(7).standard_normal((65, 65)).cumsum(axis=0).cumsum(axis=1)
+)
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIELDS) + ["seeded"])
+def test_batched_levels_equal_loop_oracle_bitwise(name):
+    v = ORACLE_FIELDS.get(name, SEEDED)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = level_set_lengths(v, 50)
+        assert table == [(t, loop_oracle(v, t)) for t, _ in table]
+    lo, hi = float(v.values.min()), float(v.values.max())
+    if lo < hi:
+        assert [t for t, _ in table] == np.linspace(lo, hi, 52)[1:-1].tolist()
+
+
+def test_block_boundaries_do_not_change_lengths(monkeypatch):
+    # the segment pass works in blocks of pairs; cut the random field's
+    # pairs into many small blocks and compare with the one-block result
+    v = ORACLE_FIELDS["random"]
+    whole = level_set_lengths(v, 50)
+    monkeypatch.setattr(levelset, "_BLOCK", 97)
+    assert level_set_lengths(v, 50) == whole
 
 
 def test_oracle_inputs_cover_saddles_and_grid_line_contours():

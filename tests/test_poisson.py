@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gradflux
 from gradflux import GridSpec, PoissonSolver, ScalarField, laplacian, norm
 
 
@@ -113,3 +119,27 @@ def test_grid_mismatch_is_usage_error():
     with pytest.raises(ValueError, match="does not match"):
         solver.solve_dirichlet(ScalarField.zeros(GridSpec(17)))
 
+
+_FRESH_IMPORT = """
+import sys
+import gradflux.cli
+assert "scipy.fft" not in sys.modules, "importing gradflux.cli loaded scipy.fft"
+import numpy as np
+from gradflux import GridSpec, PoissonSolver, ScalarField, norm
+from test_poisson import cg_oracle
+g = GridSpec(8)
+rhs = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
+out = PoissonSolver(g).solve_dirichlet(rhs)
+assert norm(out - cg_oracle(rhs), "l2") <= 1e-8 * norm(out, "l2")
+assert "scipy.fft" in sys.modules
+"""
+
+
+def test_cli_import_defers_scipy_until_a_solve():
+    """Commands that never solve do not load scipy.fft; the first solve does."""
+    path = [str(Path(gradflux.__file__).resolve().parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_IMPORT], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
