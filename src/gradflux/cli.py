@@ -227,10 +227,12 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
     comments = resolved_lines(cfg, "table1")
     comments.append(f"summary: replication = {report.replication}")
     for d in cfg.deltas:
+        runs = [r for r in report.rows if r.delta == d]
+        capped = sum(not r.converged for r in runs)
         comments.append(
             f"summary: delta = {_fmt(float(d))}: mean_rel_l2 = "
             f"{report.mean_rel_l2[d]:.17g}, mean_iters = {report.mean_iters[d]:.17g}, "
-            f"max_err = {report.max_err[d]:.17g}"
+            f"max_err = {report.max_err[d]:.17g}, capped = {capped} of {len(runs)}"
         )
     unconverged = [
         f"delta = {_fmt(r.delta)}, seed = {r.seed}" for r in report.rows if not r.converged
@@ -249,7 +251,8 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
     )
 
 
-def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
+def _contour_field(cfg: RunConfig) -> ScalarField:
+    """v = u + f, the field whose level sets ``contour`` measures."""
     p = _build_problem(cfg)
     if cfg.u_file is not None:
         u = _read_u_file(cfg, p.grid)
@@ -257,8 +260,12 @@ def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
         u = p.exact_u
     else:
         raise UsageError("contour needs 'u_file' or a problem with a known solution")
-    v = u if p.potential_f is None else u + p.potential_f
-    table = level_set_lengths(v)
+    return u if p.potential_f is None else u + p.potential_f
+
+
+def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
+    # the problem data is dropped before the level-set pass
+    table = level_set_lengths(_contour_field(cfg))
     sup_len = max(length for _, length in table)
     comments = resolved_lines(cfg, "contour")
     comments.append(f"summary: sup_length = {sup_len:.17g} over {len(table)} levels")
@@ -277,16 +284,12 @@ def _read_history_csv(path: Path) -> list[tuple[float, float, float]]:
 
 
 def _write_surface(path: Path, field: ScalarField) -> None:
-    grid = field.grid
-    ax = grid.axis()
-    blocks = []
-    for i in range(grid.n + 1):
-        blocks.extend(
-            f"{ax[i]:.17g} {ax[j]:.17g} {field.values[i, j]:.17g}"
-            for j in range(grid.n + 1)
-        )
-        blocks.append("")
-    path.write_text("\n".join(blocks) + "\n")
+    """gnuplot surface data: one "x y value" line per node, a blank line after each row."""
+    ax = field.grid.axis().tolist()
+    with open(path, "w") as f:
+        for x, row in zip(ax, field.values):
+            f.writelines(f"{x:.17g} {y:.17g} {v:.17g}\n" for y, v in zip(ax, row.tolist()))
+            f.write("\n")
 
 
 def _cmd_plotdata(cfg: RunConfig, out: Path, strict: bool) -> int:

@@ -28,6 +28,7 @@ __all__ = [
     "FluxPair",
     "Certificate",
     "flux",
+    "flux_and_energy",
     "primal_energy",
     "dual_value",
     "certify",
@@ -69,45 +70,62 @@ class Certificate:
         return asdict(self)
 
 
-def _drift_gradient(u: ScalarField, p: ProblemData) -> tuple[VectorField, np.ndarray]:
-    """grad u + F and its magnitude at every node."""
-    g = gradient(u) + p.F
-    return g, np.hypot(g.x.values, g.y.values)
+def _drift_gradient(grad_u: VectorField, p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of grad u + F, as new arrays."""
+    if grad_u.grid != p.grid:
+        raise ValueError("fields live on different grids")
+    return grad_u.x.values + p.F.x.values, grad_u.y.values + p.F.y.values
 
 
-def _flux(u: ScalarField, p: ProblemData, g: VectorField, mag: np.ndarray, eta: float) -> FluxPair:
+def _flux(grad_u: VectorField, p: ProblemData, eta: float) -> tuple[FluxPair, np.ndarray]:
+    """The flux and |grad u + F|; J is built in the arrays of grad u + F."""
+    gx, gy = _drift_gradient(grad_u, p)
+    mag = np.hypot(gx, gy)
     mask = mag >= eta
-    safe = np.where(mask, mag, 1.0)
-    sigma = np.where(mask, p.a.values / safe, 0.0)
-    jx = sigma * g.x.values
-    jy = sigma * g.y.values
-    return FluxPair(
-        J=VectorField.from_arrays(u.grid, jx, jy),
-        sigma=ScalarField(u.grid, sigma),
-        mask=mask,
-    )
+    sigma = np.divide(p.a.values, mag, out=np.zeros_like(mag), where=mask)
+    # each component is dropped as soon as its field holds a copy
+    jx = ScalarField(p.grid, np.multiply(sigma, gx, out=gx))
+    del gx
+    jy = ScalarField(p.grid, np.multiply(sigma, gy, out=gy))
+    del gy
+    fp = FluxPair(J=VectorField(jx, jy), sigma=ScalarField(p.grid, sigma), mask=mask)
+    return fp, mag
 
 
 def _energy(u: ScalarField, p: ProblemData, mag: np.ndarray) -> float:
-    return integrate(ScalarField(u.grid, p.a.values * mag + p.H.values * u.values))
+    """Primal energy of u; overwrites mag, |grad u + F|, with the integrand."""
+    integrand = np.multiply(p.a.values, mag, out=mag)
+    integrand += p.H.values * u.values
+    return integrate(ScalarField(u.grid, integrand))
 
 
 def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
     """Build J = sigma (grad u + F), masking nodes with |grad u + F| < eta."""
     check_eta(eta)
-    return _flux(u, p, *_drift_gradient(u, p), eta)
+    return _flux(gradient(u), p, eta)[0]
+
+
+def flux_and_energy(
+    u: ScalarField, grad_u: VectorField, p: ProblemData, eta: float = ETA
+) -> tuple[FluxPair, float]:
+    """``flux(u, p, eta)`` and ``primal_energy(u, p)`` from one grad u + F,
+    for a caller that already holds grad_u = gradient(u)."""
+    check_eta(eta)
+    fp, mag = _flux(grad_u, p, eta)
+    return fp, _energy(u, p, mag)
 
 
 def primal_energy(u: ScalarField, p: ProblemData) -> float:
     """Energy integral( a |grad u + F| + H u ) of a boundary-vanishing field."""
-    return _energy(u, p, _drift_gradient(u, p)[1])
+    return _energy(u, p, np.hypot(*_drift_gradient(gradient(u), p)))
 
 
 def dual_value(J: VectorField, F: VectorField) -> float:
     """Dual pairing integral( F . J )."""
     if J.grid != F.grid:
         raise ValueError("flux and drift live on different grids")
-    dots = F.x.values * J.x.values + F.y.values * J.y.values
+    dots = F.x.values * J.x.values
+    dots += F.y.values * J.y.values
     return integrate(ScalarField(J.grid, dots))
 
 
@@ -116,7 +134,8 @@ def divergence_residual_l1(
 ) -> float:
     """Interior L1 norm of div J - H, restricted to nodes whose backward
     stencil (the node itself, its west and its south neighbor) is unmasked."""
-    r = np.abs(divergence(J).values - H.values)[1:-1, 1:-1]
+    r = np.subtract(divergence(J).values, H.values)
+    r = np.abs(r, out=r)[1:-1, 1:-1]
     if mask is not None:
         ok = mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[1:-1, :-2]
         r = np.where(ok, r, 0.0)
@@ -125,17 +144,15 @@ def divergence_residual_l1(
 
 def certify(u: ScalarField, p: ProblemData, eta: float = ETA) -> Certificate:
     """Assemble the optimality certificate for a candidate minimizer."""
-    check_eta(eta)
-    g, mag = _drift_gradient(u, p)  # shared by the flux and the primal energy
-    fp = _flux(u, p, g, mag, eta)
-    primal = _energy(u, p, mag)
+    fp, primal = flux_and_energy(u, gradient(u), p, eta)
     dual = dual_value(fp.J, p.F)
-    jmag = np.hypot(fp.J.x.values, fp.J.y.values)
-    violation = float(np.maximum(jmag - p.a.values, 0.0).max())
+    el_residual = divergence_residual_l1(fp.J, p.H, fp.mask)
+    excess = np.hypot(fp.J.x.values, fp.J.y.values)
+    excess -= p.a.values
     return Certificate(
         primal=primal,
         dual=dual,
         gap=primal - dual,
-        el_residual_l1=divergence_residual_l1(fp.J, p.H, fp.mask),
-        flux_bound_violation=violation,
+        el_residual_l1=el_residual,
+        flux_bound_violation=float(np.maximum(excess, 0.0, out=excess).max()),
     )

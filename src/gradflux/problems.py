@@ -69,18 +69,23 @@ def example1(grid: GridSpec) -> ProblemData:
     The forcing is H = div(1, x+y) = 1.  The drift is not conservative
     (curl(1, x+y) = -1), so no potential is attached.
     """
-    x, y = grid.meshgrid()
-    u = x * y * (1.0 - x) * (1.0 - y)
-    u_field = ScalarField(grid, u)
-    gu = gradient(u_field)
-    fx = 1.0 - gu.x.values  # target gradient-plus-drift is (1, x+y)
-    fy = x + y - gu.y.values
-    a = np.sqrt(1.0 + (x + y) ** 2)
+    ax = grid.axis()
+    x, y = ax[:, None], ax[None, :]  # the node coordinates, by broadcasting
+    u = x * y
+    u *= 1.0 - x
+    u *= 1.0 - y
+    # Each raw array is built in place and dropped once a field holds its
+    # copy, which keeps the peak to about seven (n+1)^2 arrays.
+    u = ScalarField(grid, u)
+    gu = gradient(u)
+    xy = x + y
+    # target gradient-plus-drift is (1, x+y)
+    F = VectorField(ScalarField(grid, 1.0 - gu.x.values), ScalarField(grid, xy - gu.y.values))
+    del gu
+    xy **= 2
+    xy += 1.0
+    a = ScalarField(grid, np.sqrt(xy, out=xy))
+    del xy
     return ProblemData(
-        grid,
-        a=ScalarField(grid, a),
-        F=VectorField.from_arrays(grid, fx, fy),
-        H=ScalarField.full(grid, 1.0),
-        exact_u=u_field,
-        name="example1",
+        grid, a=a, F=F, H=ScalarField.full(grid, 1.0), exact_u=u, name="example1"
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bregman import SolveResult, SolverConfig, solve
-from .duality import ETA, check_eta, flux, primal_energy
+from .duality import ETA, check_eta, flux_and_energy
 from .grid import GridSpec, gradient, norm
 from .perturb import PerturbedProblem, apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
@@ -322,18 +322,18 @@ def run_sweep(
     if not base.converged:
         raise BaseNotConvergedError("base solve did not converge; cannot anchor the sweep")
     grid = p.grid
+    # one gradient per solution serves its flux, energy and gradient difference
     u0 = base.state.u
-    base_flux = flux(u0, p, spec.eta)
     g0 = gradient(u0)
-    e0 = primal_energy(u0, p)
+    base_flux, e0 = flux_and_energy(u0, g0, p, spec.eta)
     sigma0 = base_flux.sigma.values.max(initial=0.0)
 
     def measure(eps: float, seed: int | None, pp: PerturbedProblem) -> SweepRow:
         res = solve(pp.perturbed, spec.solver, poisson)
         u1 = res.state.u
-        new_flux = flux(u1, pp.perturbed, spec.eta)
-        joint = base_flux.mask & new_flux.mask
         g1 = gradient(u1)
+        new_flux, e1 = flux_and_energy(u1, g1, pp.perturbed, spec.eta)
+        joint = base_flux.mask & new_flux.mask
         grad_diff = np.hypot(g0.x.values - g1.x.values, g0.y.values - g1.y.values)
         sigma_diff = np.abs(base_flux.sigma.values - new_flux.sigma.values)
         if p.exact_u is not None:
@@ -347,7 +347,7 @@ def run_sweep(
             err_gradu_l1=_joint_l1(grid, grad_diff, joint),
             err_sigma_l1=_joint_l1(grid, sigma_diff, joint),
             err_J_l1=norm(base_flux.J - new_flux.J, "l1"),
-            energy_diff=abs(e0 - primal_energy(u1, pp.perturbed)),
+            energy_diff=abs(e0 - e1),
             misalignment=_misalignment(grid, base_flux.J, new_flux.J),
             iters=res.iterations,
             rel_l2=rel_l2,

@@ -408,6 +408,8 @@ class TestTable1Command:
             assert [l for l in lines if "not converged" in l] == [
                 f"# summary: not converged: {r}" for r in named
             ]
+            (delta_line,) = [l for l in lines if l.startswith("# summary: delta")]
+            assert delta_line.endswith(f", capped = {len(named)} of 2")
             err = capsys.readouterr().err
             assert err == (f"gradflux: 1 table1 run(s) did not converge: {run}\n" if named else "")
 
@@ -442,6 +444,14 @@ class TestPlotdataCommand:
             assert (plots / name).exists(), name
         first = (plots / "convergence.dat").read_text().splitlines()[0]
         assert first.startswith("1 ")
+        # the streamed surface equals the same lines built as one joined string
+        u = read_field_meta(out / "solution.field")[0]
+        ax = u.grid.axis()
+        lines = []
+        for i, x in enumerate(ax):
+            lines += [f"{x:.17g} {y:.17g} {u.values[i, j]:.17g}" for j, y in enumerate(ax)]
+            lines.append("")
+        assert (plots / "surface_solution.dat").read_text() == "\n".join(lines) + "\n"
 
     def test_empty_dir_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "solve.cfg", **SOLVE_KEYS)

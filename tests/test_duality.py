@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from gradflux import (
+    Certificate,
     GridSpec,
     ProblemData,
     ScalarField,
@@ -15,7 +16,7 @@ from gradflux import (
     norm,
     primal_energy,
 )
-from gradflux.duality import divergence_residual_l1
+from gradflux.duality import ETA, divergence_residual_l1
 
 EXACT_ENERGY = 79.0 / 36.0  # 13/6 from the weight term plus 1/36 from the forcing
 
@@ -128,6 +129,49 @@ class TestCertify:
         parsed = dict(line.split(" = ") for line in text.strip().splitlines())
         assert float(parsed["primal"]) == cert.primal
         assert float(parsed["gap"]) == cert.gap
+
+
+def _inline_certificate(u, p, eta):
+    """flux, primal_energy and certify written out as plain array formulas."""
+    G = p.grid
+    h = G.h
+    g = gradient(u)
+    gx, gy = g.x.values + p.F.x.values, g.y.values + p.F.y.values
+    mag = np.hypot(gx, gy)
+    mask = mag >= eta
+    sigma = np.where(mask, p.a.values / np.where(mask, mag, 1.0), 0.0)
+    jx, jy = sigma * gx, sigma * gy
+    quad = np.ones(G.n + 1)
+    quad[[0, -1]], quad[[1, -2]] = 0.0, 1.5
+    integral = lambda f: float(h**2 * np.einsum("i,ij,j->", quad, f, quad))
+    primal = integral(p.a.values * mag + p.H.values * u.values)
+    dual = integral(p.F.x.values * jx + p.F.y.values * jy)
+    dx, dy = np.empty_like(jx), np.empty_like(jy)
+    dx[1:], dx[0] = (jx[1:] - jx[:-1]) / h, jx[0] / h
+    dy[:, 1:], dy[:, 0] = (jy[:, 1:] - jy[:, :-1]) / h, jy[:, 0] / h
+    r = np.abs(dx + dy - p.H.values)[1:-1, 1:-1]
+    ok = mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[1:-1, :-2]
+    el = float(h**2 * np.where(ok, r, 0.0).sum())
+    violation = float(np.maximum(np.hypot(jx, jy) - p.a.values, 0.0).max())
+    return (jx, jy, sigma, mask), primal, Certificate(primal, dual, primal - dual, el, violation)
+
+
+@pytest.mark.parametrize("n", [7, 100, 400])
+def test_flux_and_certificate_bit_identical_to_inline_formulas(n):
+    g = GridSpec(n)
+    p = example1(g)
+    noise = np.zeros(g.shape)
+    noise[1:-1, 1:-1] = np.random.default_rng(n).standard_normal((n - 1, n - 1))
+    candidates = [p.exact_u, ScalarField(g, p.exact_u.values + 0.05 * noise)]
+    for u in candidates:
+        for eta in (ETA, 1.5):  # eta = 1.5 masks part of the perturbed candidate
+            arrays, primal, cert = _inline_certificate(u, p, eta)
+            fp = flux(u, p, eta)
+            for mine, ref in zip((fp.J.x.values, fp.J.y.values, fp.sigma.values, fp.mask), arrays):
+                assert mine.tobytes() == ref.tobytes()
+            assert primal_energy(u, p) == primal
+            assert certify(u, p, eta) == cert
+    assert not _inline_certificate(candidates[1], p, 1.5)[0][3].all()
 
 
 class TestWeakDuality:

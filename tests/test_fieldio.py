@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -135,3 +137,61 @@ def test_bad_token_wins_over_count_mismatch(tmp_path):
     _write_body(path, ["1 2 3", "4 nan", "7 8"])
     with pytest.raises(FieldFormatError, match="holds 7"):
         read_field_meta(path)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        # numpy's parser reads a whitespace-only body as [-1.0]
+        (["   ", "\t"], "header announces n=2 (9 values) but file holds 0"),
+        (["1 2 3", "4 5 6", "7 8"], "header announces n=2 (9 values) but file holds 8"),
+        # numpy's parser reads nan(123) as nan; float() rejects it
+        (["1 2 3", "4 nan(123) 6", "7 8 9"], ":3: cannot parse value 'nan(123)'"),
+    ],
+)
+def test_c_parse_quirks_get_the_line_parse_message(tmp_path, rows, message):
+    path = tmp_path / "quirk.field"
+    _write_body(path, rows)
+    with pytest.raises(FieldFormatError) as err:
+        read_field_meta(path)
+    sep = "" if message.startswith(":") else ": "
+    assert str(err.value) == f"{path}{sep}{message}"
+
+
+def _joined_field_text(field, kind, problem):
+    """The file write_field must produce, built as one joined string."""
+    lines = [f"gradflux-field n={field.grid.n} kind={kind} problem={problem}"]
+    lines += [" ".join("%.17g" % v for v in row) for row in field.values.tolist()]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("n", [2, 7, 40])
+def test_streamed_write_matches_joined_text(tmp_path, n):
+    g = GridSpec(n)
+    vals = np.random.default_rng(n).standard_normal(g.shape) * 10.0 ** np.arange(n + 1)
+    vals[0, 0], vals[-1, -1] = -0.0, 5e-324
+    field = ScalarField(g, vals)
+    path = tmp_path / "s.field"
+    write_field(field, path, kind="u", problem="t")
+    assert path.read_bytes() == _joined_field_text(field, "u", "t").encode()
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_read_and_write_peaks_stay_bounded(tmp_path):
+    """Reading holds about the body text plus one array; writing streams rows."""
+    field = example1(GridSpec(200)).exact_u
+    path = tmp_path / "u.field"
+    write_peak = _traced_peak(lambda: write_field(field, path))
+    size = path.stat().st_size
+    read_peak = _traced_peak(lambda: read_field_meta(path))
+    assert write_peak <= 0.1 * size
+    assert read_peak <= 2.5 * size

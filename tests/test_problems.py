@@ -39,6 +39,22 @@ class TestExample1:
     def test_exact_solution_vanishes_on_boundary(self, prob100):
         assert np.abs(prob100.exact_u.boundary_values()).max() == 0.0
 
+    @pytest.mark.parametrize("n", [7, 100, 400])
+    def test_bit_identical_to_inline_formulas(self, n):
+        g = GridSpec(n)
+        x, y = g.meshgrid()
+        u = x * y * (1.0 - x) * (1.0 - y)
+        gu = gradient(ScalarField(g, u))
+        p = example1(g)
+        for mine, ref in (
+            (p.exact_u, u),
+            (p.F.x, 1.0 - gu.x.values),
+            (p.F.y, x + y - gu.y.values),
+            (p.a, np.sqrt(1.0 + (x + y) ** 2)),
+            (p.H, np.ones(g.shape)),
+        ):
+            assert mine.values.tobytes() == ref.tobytes()
+
 
 class TestProblemData:
     def test_potential_must_reproduce_drift(self):
