@@ -22,11 +22,12 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .bregman import SolverConfig, solve
+from .bregman import solve
 from .config import (
     RunConfig,
     UsageError,
@@ -47,7 +48,6 @@ from .stability import (
     SWEEP_COLUMNS,
     BaseNotConvergedError,
     StabilityReport,
-    SweepSpec,
     run_sweep,
     table1_experiment,
 )
@@ -102,12 +102,6 @@ def _build_problem(cfg: RunConfig) -> ProblemData:
     return p
 
 
-def _solver_config(cfg: RunConfig, record_history: bool = False) -> SolverConfig:
-    return SolverConfig(
-        lam=cfg.lam, tol=cfg.tol, max_iter=cfg.max_iter, record_history=record_history
-    )
-
-
 def _read_u_file(cfg: RunConfig, grid: GridSpec) -> ScalarField:
     u, _, _ = read_field_meta(cfg.u_file)
     if u.grid != grid:
@@ -134,7 +128,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
     exact = p.exact_u
     if cfg.delta > 0:
         p = apply_table1_noise(p, cfg.delta, cfg.seeds[0])
-    res = solve(p, _solver_config(cfg, record_history=True), PoissonSolver(p.grid))
+    res = solve(p, replace(cfg.solver, record_history=True), PoissonSolver(p.grid))
     comments = resolved_lines(cfg, "solve")
 
     write_field(res.state.u, out / "solution.field", kind="u", problem=p.name)
@@ -159,7 +153,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
     )
 
 
-def _cmd_certify(cfg: RunConfig, out: Path, strict: bool) -> int:
+def _cmd_certify(cfg: RunConfig, out: Path) -> int:
     if cfg.u_file is None:
         raise UsageError("certify needs key 'u_file' (the solution field to check)")
     p = _build_problem(cfg)
@@ -199,16 +193,7 @@ def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
-    p = _build_problem(cfg)
-    spec = SweepSpec(
-        param=cfg.param,
-        epsilons=cfg.epsilons,
-        mode=cfg.mode,
-        seeds=cfg.seeds,
-        solver=_solver_config(cfg),
-        eta=cfg.eta,
-    )
-    report = run_sweep(p, spec)
+    report = run_sweep(_build_problem(cfg), cfg.sweep)
     unconverged = [f"eps = {_fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report, unconverged)
     rows = [tuple(getattr(r, c) for c in REPORT_COLUMNS) for r in report.rows]
@@ -221,9 +206,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
-    report = table1_experiment(
-        _solver_config(cfg), seeds=cfg.seeds, n=cfg.n, deltas=cfg.deltas
-    )
+    report = table1_experiment(cfg.solver, seeds=cfg.seeds, n=cfg.n, deltas=cfg.deltas)
     comments = resolved_lines(cfg, "table1")
     comments.append(f"summary: replication = {report.replication}")
     for d in cfg.deltas:
@@ -263,7 +246,7 @@ def _contour_field(cfg: RunConfig) -> ScalarField:
     return u if p.potential_f is None else u + p.potential_f
 
 
-def _cmd_contour(cfg: RunConfig, out: Path, strict: bool) -> int:
+def _cmd_contour(cfg: RunConfig, out: Path) -> int:
     # the problem data is dropped before the level-set pass
     table = level_set_lengths(_contour_field(cfg))
     sup_len = max(length for _, length in table)
@@ -292,7 +275,7 @@ def _write_surface(path: Path, field: ScalarField) -> None:
             f.write("\n")
 
 
-def _cmd_plotdata(cfg: RunConfig, out: Path, strict: bool) -> int:
+def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
     plots = out / "plots"
     plots.mkdir(parents=True, exist_ok=True)
     produced = []
@@ -372,14 +355,16 @@ def main(argv=None) -> int:
         sp = sub.add_parser(name)
         sp.add_argument("--config", required=True, help="flat key = value config file")
         sp.add_argument("--out", default="gradflux-out", help="output directory")
-        sp.add_argument("--strict", action="store_true", help="non-convergence is fatal")
+        if name in ("solve", "sweep", "table1"):  # the commands that can stop unconverged
+            sp.add_argument("--strict", action="store_true", help="non-convergence is fatal")
     try:
         args = parser.parse_args(argv)
         raw = parse_config_file(args.config)
         cfg = build_config(raw, args.command)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        return _COMMANDS[args.command](cfg, out, args.strict)
+        strict = [args.strict] if "strict" in args else []
+        return _COMMANDS[args.command](cfg, out, *strict)
     except (UsageError, FieldFormatError, NoiseScaleError, BaseNotConvergedError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BaseNotConvergedError) else 1

@@ -47,6 +47,14 @@ class RunConfig:
     h_file: str | None = None
     u_file: str | None = None
 
+    @property
+    def solver(self) -> SolverConfig:
+        return SolverConfig(self.lam, self.tol, self.max_iter)
+
+    @property
+    def sweep(self) -> SweepSpec:
+        return SweepSpec(self.param, self.epsilons, self.mode, self.seeds, self.solver, self.eta)
+
 
 # Config keys are the RunConfig field names; 'lambda' is a Python keyword.
 _KEY_OF_FIELD = {"lam": "lambda"}
@@ -133,8 +141,7 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
         raise UsageError("key 'lambda' must be positive")
     try:
         GridSpec(cfg.n)
-        SolverConfig(cfg.lam, cfg.tol, cfg.max_iter)
-        SweepSpec(cfg.param, cfg.epsilons, cfg.mode, cfg.seeds, eta=cfg.eta)
+        cfg.sweep  # builds cfg.solver first
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     if cfg.delta < 0:

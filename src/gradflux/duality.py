@@ -6,7 +6,8 @@ nonzero.  At an exact minimizer the flux is additionally a solution of the
 dual problem: it satisfies div J = H, and the primal energy equals the dual
 pairing <F, J>, so the duality gap vanishes.  ``certify`` measures how far
 a computed solution is from those identities; a large gap is a finding
-about the solution, not an error.
+about the solution, not an error.  ``FluxPair.energy``, the primal energy
+of u from the same |grad u + F|, is the primal value ``certify`` reports.
 
 Nodes where |grad u + F| falls below the safeguard eta are masked out:
 sigma and J are set to zero there and the certification residual skips any
@@ -28,7 +29,6 @@ __all__ = [
     "FluxPair",
     "Certificate",
     "flux",
-    "flux_and_energy",
     "primal_energy",
     "dual_value",
     "certify",
@@ -47,11 +47,12 @@ def check_eta(eta: float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class FluxPair:
-    """Flux J and coefficient sigma, with the degenerate-gradient mask."""
+    """Flux J, coefficient sigma, degenerate-gradient mask and primal energy of u."""
 
     J: VectorField
     sigma: ScalarField
     mask: np.ndarray
+    energy: float
 
 
 @dataclass(frozen=True)
@@ -70,26 +71,12 @@ class Certificate:
         return asdict(self)
 
 
-def _drift_gradient(grad_u: VectorField, p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
+def _drift_gradient(u: ScalarField, p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
     """The two components of grad u + F, as new arrays."""
-    if grad_u.grid != p.grid:
+    if u.grid != p.grid:
         raise ValueError("fields live on different grids")
-    return grad_u.x.values + p.F.x.values, grad_u.y.values + p.F.y.values
-
-
-def _flux(grad_u: VectorField, p: ProblemData, eta: float) -> tuple[FluxPair, np.ndarray]:
-    """The flux and |grad u + F|; J is built in the arrays of grad u + F."""
-    gx, gy = _drift_gradient(grad_u, p)
-    mag = np.hypot(gx, gy)
-    mask = mag >= eta
-    sigma = np.divide(p.a.values, mag, out=np.zeros_like(mag), where=mask)
-    # each component is dropped as soon as its field holds a copy
-    jx = ScalarField(p.grid, np.multiply(sigma, gx, out=gx))
-    del gx
-    jy = ScalarField(p.grid, np.multiply(sigma, gy, out=gy))
-    del gy
-    fp = FluxPair(J=VectorField(jx, jy), sigma=ScalarField(p.grid, sigma), mask=mask)
-    return fp, mag
+    g = gradient(u)
+    return g.x.values + p.F.x.values, g.y.values + p.F.y.values
 
 
 def _energy(u: ScalarField, p: ProblemData, mag: np.ndarray) -> float:
@@ -100,24 +87,25 @@ def _energy(u: ScalarField, p: ProblemData, mag: np.ndarray) -> float:
 
 
 def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
-    """Build J = sigma (grad u + F), masking nodes with |grad u + F| < eta."""
+    """Build J = sigma (grad u + F), masking nodes with |grad u + F| < eta,
+    and the primal energy of u from the same |grad u + F|."""
     check_eta(eta)
-    return _flux(gradient(u), p, eta)[0]
-
-
-def flux_and_energy(
-    u: ScalarField, grad_u: VectorField, p: ProblemData, eta: float = ETA
-) -> tuple[FluxPair, float]:
-    """``flux(u, p, eta)`` and ``primal_energy(u, p)`` from one grad u + F,
-    for a caller that already holds grad_u = gradient(u)."""
-    check_eta(eta)
-    fp, mag = _flux(grad_u, p, eta)
-    return fp, _energy(u, p, mag)
+    gx, gy = _drift_gradient(u, p)
+    mag = np.hypot(gx, gy)
+    mask = mag >= eta
+    sigma = np.divide(p.a.values, mag, out=np.zeros_like(mag), where=mask)
+    energy = _energy(u, p, mag)
+    # J is built in the arrays of grad u + F, each dropped once its field holds a copy
+    jx = ScalarField(p.grid, np.multiply(sigma, gx, out=gx))
+    del gx
+    jy = ScalarField(p.grid, np.multiply(sigma, gy, out=gy))
+    del gy
+    return FluxPair(VectorField(jx, jy), ScalarField(p.grid, sigma), mask, energy)
 
 
 def primal_energy(u: ScalarField, p: ProblemData) -> float:
     """Energy integral( a |grad u + F| + H u ) of a boundary-vanishing field."""
-    return _energy(u, p, np.hypot(*_drift_gradient(gradient(u), p)))
+    return _energy(u, p, np.hypot(*_drift_gradient(u, p)))
 
 
 def dual_value(J: VectorField, F: VectorField) -> float:
@@ -144,15 +132,15 @@ def divergence_residual_l1(
 
 def certify(u: ScalarField, p: ProblemData, eta: float = ETA) -> Certificate:
     """Assemble the optimality certificate for a candidate minimizer."""
-    fp, primal = flux_and_energy(u, gradient(u), p, eta)
+    fp = flux(u, p, eta)
     dual = dual_value(fp.J, p.F)
     el_residual = divergence_residual_l1(fp.J, p.H, fp.mask)
     excess = np.hypot(fp.J.x.values, fp.J.y.values)
     excess -= p.a.values
     return Certificate(
-        primal=primal,
+        primal=fp.energy,
         dual=dual,
-        gap=primal - dual,
+        gap=fp.energy - dual,
         el_residual_l1=el_residual,
         flux_bound_violation=float(np.maximum(excess, 0.0, out=excess).max()),
     )

@@ -114,9 +114,6 @@ class ScalarField:
         _check_same_grid(self, other)
         return ScalarField(self.grid, self.values - other.values)
 
-    def __neg__(self) -> "ScalarField":
-        return ScalarField(self.grid, -self.values)
-
     def __mul__(self, c: float) -> "ScalarField":
         return ScalarField(self.grid, self.values * float(c))
 
@@ -151,9 +148,6 @@ class VectorField:
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.x - other.x, self.y - other.y)
-
-    def __neg__(self) -> "VectorField":
-        return VectorField(-self.x, -self.y)
 
     def __mul__(self, c: float) -> "VectorField":
         return VectorField(self.x * c, self.y * c)

@@ -20,7 +20,9 @@ import numpy as np
 
 from .grid import ScalarField
 
-__all__ = ["level_set_length", "level_set_lengths"]
+__all__ = ["LEVELS", "level_set_length", "level_set_lengths"]
+
+LEVELS = 50  # levels of the contour table
 
 # Corner k of the cell anchored at (i, j) is (i + _DI[k], j + _DJ[k]); edge k
 # joins corner k to corner k + 1 (mod 4) and steps by (_STEP_I[k], _STEP_J[k]).
@@ -103,12 +105,10 @@ def level_set_length(v: ScalarField, t: float) -> float:
     return _lengths(v, np.array([t], dtype=float))[0]
 
 
-def level_set_lengths(v: ScalarField, num_levels: int = 50) -> list[tuple[float, float]]:
-    """Lengths over a uniform t-grid strictly inside [min v, max v]."""
+def level_set_lengths(v: ScalarField) -> list[tuple[float, float]]:
+    """Lengths over LEVELS uniform levels strictly inside [min v, max v]."""
     lo, hi = float(v.values.min()), float(v.values.max())
-    if num_levels < 1:
-        raise ValueError("num_levels must be positive")
     if lo == hi:
         return [(lo, 0.0)]
-    ts = np.linspace(lo, hi, num_levels + 2)[1:-1]
+    ts = np.linspace(lo, hi, LEVELS + 2)[1:-1]
     return list(zip(ts.tolist(), _lengths(v, ts)))

@@ -9,9 +9,12 @@ from gradflux import (
     SolverConfig,
     SolverState,
     VectorField,
+    apply_table1_noise,
     divergence,
+    example1,
     flux,
     gradient,
+    inner,
     iterate,
     norm,
     shrink_step,
@@ -296,3 +299,63 @@ class TestConvergedProperties:
         )
         den = np.sqrt((fp.J.x.values**2 + fp.J.y.values**2)[region].sum())
         assert num / den <= 0.1
+
+
+def dual_certified(u, J, p):
+    """Whether J certifies u with the h^2 all-node pairing, under which gradient
+    and divergence are exact adjoints: |gap_h| <= 1e-6 P_h with
+    gap_h = P_h(u) - <F, J>_h, |div J - H|_L1 <= 1e-5 |H|_L1 and |J| <= a."""
+    g = gradient(u)
+    gx, gy = g.x.values + p.F.x.values, g.y.values + p.F.y.values
+    primal = p.grid.h ** 2 * (p.a.values * np.hypot(gx, gy) + p.H.values * u.values).sum()
+    gap = primal - inner(p.F, J)
+    residual = norm(divergence(J) - p.H, "l1") / norm(p.H, "l1")
+    excess = (np.hypot(J.x.values, J.y.values) - p.a.values).max()
+    return abs(gap) <= 1e-6 * primal and residual <= 1e-5 and excess <= 1e-12
+
+
+def pdhg_oracle(p, max_iter=50_000):
+    """Chambolle-Pock primal-dual iteration (Chambolle & Pock 2011) on the
+    saddle problem min_u max_{|J| <= a} <grad u + F, J>_h + <H, u>_h with
+    u = 0 on the boundary, on the package's gradient/divergence pair.  Steps
+    tau = sigma = 0.99 h / sqrt(8), so tau sigma |gradient|^2 < 1.  Returns u
+    at the first multiple of 100 iterations where (u, J) is certified."""
+    g = p.grid
+    tau = sigma = 0.99 * g.h / np.sqrt(8.0)
+    a, H = p.a.values, p.H.values
+    u, ubar, jx, jy = (np.zeros(g.shape) for _ in range(4))
+    for k in range(1, max_iter + 1):
+        gu = gradient(ScalarField(g, ubar))
+        jx += sigma * (gu.x.values + p.F.x.values)
+        jy += sigma * (gu.y.values + p.F.y.values)
+        scale = a / np.maximum(np.hypot(jx, jy), a)  # projection onto |J| <= a
+        jx *= scale
+        jy *= scale
+        J = VectorField.from_arrays(g, jx, jy)
+        u_new = u + tau * (divergence(J).values - H)
+        u_new[[0, -1], :] = 0.0
+        u_new[:, [0, -1]] = 0.0
+        ubar = 2.0 * u_new - u
+        u = u_new
+        if k % 100 == 0 and dual_certified(ScalarField(g, u), J, p):
+            return ScalarField(g, u)
+    raise AssertionError(f"PDHG did not certify within {max_iter} iterations")
+
+
+def test_split_bregman_and_pdhg_certify_the_same_noised_minimizer():
+    # a criterion-1 instance at small n; iterate is driven directly because
+    # solve's relative-change rule stops this lambda = 0.25 run after 4 sweeps,
+    # even at tol = 1e-14
+    p = apply_table1_noise(example1(GridSpec(24)), 0.035, 0)
+    cfg = SolverConfig(lam=0.25)
+    poisson = PoissonSolver(p.grid)
+    state = SolverState.initial(p.grid)
+    for _ in range(50):
+        for _ in range(100):
+            state = iterate(state, p, cfg, poisson)
+        if dual_certified(state.u, cfg.lam * state.b, p):
+            break
+    else:
+        pytest.fail("split Bregman did not certify within 5000 iterations")
+    u_pdhg = pdhg_oracle(p)
+    assert norm(state.u - u_pdhg, "l2") <= 1e-3 * norm(u_pdhg, "l2")

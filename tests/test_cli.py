@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import gradflux.stability
-from gradflux import GridSpec, ScalarField, example1
+from gradflux import GridSpec, ScalarField, SolverConfig, SweepSpec, example1
 from gradflux.cli import main
 from gradflux.config import ALLOWED_KEYS, UsageError, build_config, parse_config_file
 from gradflux.fieldio import read_field_meta, write_field
@@ -99,6 +99,16 @@ class TestConfigParsing:
         assert capsys.readouterr().err == f"gradflux: {message}\n"
         assert not out.exists()
 
+    def test_solver_and_sweep_built_from_the_keys(self):
+        raw = {"lambda": "0.5", "tol": "1e-6", "max_iter": "300", "eta": "1e-6",
+               "param": "a", "epsilons": "0.02, 0.01", "mode": "noise", "seeds": "0, 1"}
+        cfg = build_config(raw, "sweep")
+        solver = SolverConfig(lam=0.5, tol=1e-6, max_iter=300)
+        assert cfg.solver == solver
+        assert cfg.sweep == SweepSpec("a", (0.02, 0.01), "noise", (0, 1), solver, eta=1e-6)
+        with pytest.raises(AttributeError):
+            cfg.sweep = cfg.sweep
+
     def test_empty_list_rejected(self):
         with pytest.raises(UsageError, match="non-empty"):
             build_config({"epsilons": ""}, "sweep")
@@ -155,6 +165,19 @@ class TestSolveCommand:
         assert "max_iter" in capsys.readouterr().err
         # non-strict keeps going
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("command", ["solve", "sweep", "table1", "certify", "contour", "plotdata"])
+def test_strict_only_on_commands_that_can_stop_unconverged(command, tmp_path, capsys):
+    # an unknown key fails after the arguments parse, so its message shows --strict was accepted
+    cfg = write_cfg(tmp_path / "c.cfg", foo=1)
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out), "--strict"]) == 1
+    if command in ("solve", "sweep", "table1"):
+        assert capsys.readouterr().err == "gradflux: unknown config key 'foo'\n"
+    else:
+        assert capsys.readouterr().err == "gradflux: unrecognized arguments: --strict\n"
+    assert not out.exists()
 
 
 class TestCertifyCommand:

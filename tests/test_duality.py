@@ -169,6 +169,7 @@ def test_flux_and_certificate_bit_identical_to_inline_formulas(n):
             fp = flux(u, p, eta)
             for mine, ref in zip((fp.J.x.values, fp.J.y.values, fp.sigma.values, fp.mask), arrays):
                 assert mine.tobytes() == ref.tobytes()
+            assert fp.energy == primal
             assert primal_energy(u, p) == primal
             assert certify(u, p, eta) == cert
     assert not _inline_certificate(candidates[1], p, 1.5)[0][3].all()

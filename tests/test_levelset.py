@@ -82,7 +82,7 @@ def test_batched_levels_equal_loop_oracle_bitwise(name):
     v = ORACLE_FIELDS.get(name, SEEDED)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        table = level_set_lengths(v, 50)
+        table = level_set_lengths(v)
         assert table == [(t, loop_oracle(v, t)) for t, _ in table]
     lo, hi = float(v.values.min()), float(v.values.max())
     if lo < hi:
@@ -93,9 +93,9 @@ def test_block_boundaries_do_not_change_lengths(monkeypatch):
     # the segment pass works in blocks of pairs; cut the random field's
     # pairs into many small blocks and compare with the one-block result
     v = ORACLE_FIELDS["random"]
-    whole = level_set_lengths(v, 50)
+    whole = level_set_lengths(v)
     monkeypatch.setattr(levelset, "_BLOCK", 97)
-    assert level_set_lengths(v, 50) == whole
+    assert level_set_lengths(v) == whole
 
 
 def test_oracle_inputs_cover_saddles_and_grid_line_contours():
@@ -144,7 +144,7 @@ def test_out_of_range_level_is_empty():
 def test_constant_field():
     g = GridSpec(12)
     v = ScalarField.full(g, 3.0)
-    assert level_set_lengths(v, 10) == [(3.0, 0.0)]
+    assert level_set_lengths(v) == [(3.0, 0.0)]
 
 
 def test_length_bound_stable_under_refinement():
@@ -153,7 +153,7 @@ def test_length_bound_stable_under_refinement():
     k = {}
     for n in (50, 100):
         u = example1(GridSpec(n)).exact_u
-        k[n] = max(length for _, length in level_set_lengths(u, 50))
+        k[n] = max(length for _, length in level_set_lengths(u))
     assert k[100] > 0
     assert abs(k[100] - k[50]) / k[100] <= 0.10
 
@@ -161,6 +161,6 @@ def test_length_bound_stable_under_refinement():
 def test_lengths_table_shape():
     g = GridSpec(40)
     v = ScalarField.from_function(g, lambda x, y: x * y)
-    table = level_set_lengths(v, num_levels=17)
-    assert len(table) == 17
+    table = level_set_lengths(v)
+    assert len(table) == levelset.LEVELS == 50
     assert all(length >= 0.0 for _, length in table)
