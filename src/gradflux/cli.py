@@ -28,16 +28,9 @@ from pathlib import Path
 import numpy as np
 
 from .bregman import solve
-from .config import (
-    RunConfig,
-    UsageError,
-    _fmt,
-    build_config,
-    parse_config_file,
-    resolved_lines,
-)
+from .config import RunConfig, UsageError, build_config, parse_config_file, resolved_lines
 from .duality import Certificate, certify
-from .fieldio import FieldFormatError, read_field_meta, write_field
+from .fieldio import FLOAT_SPEC, FieldFormatError, fmt, read_field_meta, write_field
 from .grid import GridSpec, ScalarField, VectorField, gradient
 from .levelset import level_set_lengths
 from .perturb import NoiseScaleError, apply_table1_noise
@@ -64,7 +57,7 @@ def _write_csv(path: Path, comments, columns, rows) -> None:
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+        lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -165,7 +158,7 @@ def _cmd_certify(cfg: RunConfig, out: Path) -> int:
 
 
 def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]:
-    lines = [f"summary: sigma1_est = {report.sigma1_est:.17g}"]
+    lines = [f"summary: sigma1_est = {fmt(report.sigma1_est)}"]
     for col in SWEEP_COLUMNS:
         fit = report.fits[col]
         if fit is None:
@@ -194,7 +187,7 @@ def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]
 
 def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     report = run_sweep(_build_problem(cfg), cfg.sweep)
-    unconverged = [f"eps = {_fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
+    unconverged = [f"eps = {fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report, unconverged)
     rows = [tuple(getattr(r, c) for c in REPORT_COLUMNS) for r in report.rows]
     _write_csv(out / "sweep.csv", comments, REPORT_COLUMNS, rows)
@@ -213,12 +206,12 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
         runs = [r for r in report.rows if r.delta == d]
         capped = sum(not r.converged for r in runs)
         comments.append(
-            f"summary: delta = {_fmt(float(d))}: mean_rel_l2 = "
-            f"{report.mean_rel_l2[d]:.17g}, mean_iters = {report.mean_iters[d]:.17g}, "
-            f"max_err = {report.max_err[d]:.17g}, capped = {capped} of {len(runs)}"
+            f"summary: delta = {fmt(float(d))}: mean_rel_l2 = "
+            f"{fmt(report.mean_rel_l2[d])}, mean_iters = {fmt(report.mean_iters[d])}, "
+            f"max_err = {fmt(report.max_err[d])}, capped = {capped} of {len(runs)}"
         )
     unconverged = [
-        f"delta = {_fmt(r.delta)}, seed = {r.seed}" for r in report.rows if not r.converged
+        f"delta = {fmt(r.delta)}, seed = {r.seed}" for r in report.rows if not r.converged
     ]
     comments += [f"summary: not converged: {r}" for r in unconverged]
     comments.append("note: err_* columns apply to perturbation sweeps; table1 rows carry nan")
@@ -251,7 +244,7 @@ def _cmd_contour(cfg: RunConfig, out: Path) -> int:
     table = level_set_lengths(_contour_field(cfg))
     sup_len = max(length for _, length in table)
     comments = resolved_lines(cfg, "contour")
-    comments.append(f"summary: sup_length = {sup_len:.17g} over {len(table)} levels")
+    comments.append(f"summary: sup_length = {fmt(sup_len)} over {len(table)} levels")
     _write_csv(out / "contour.csv", comments, ("t", "length"), table)
     return 0
 
@@ -271,7 +264,10 @@ def _write_surface(path: Path, field: ScalarField) -> None:
     ax = field.grid.axis().tolist()
     with open(path, "w") as f:
         for x, row in zip(ax, field.values):
-            f.writelines(f"{x:.17g} {y:.17g} {v:.17g}\n" for y, v in zip(ax, row.tolist()))
+            f.writelines(
+                f"{x:{FLOAT_SPEC}} {y:{FLOAT_SPEC}} {v:{FLOAT_SPEC}}\n"
+                for y, v in zip(ax, row.tolist())
+            )
             f.write("\n")
 
 
@@ -284,10 +280,10 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
     if history.exists():
         rows = _read_history_csv(history)
         (plots / "convergence.dat").write_text(
-            "\n".join(f"{int(k)} {rel:.17g}" for k, rel, _ in rows) + "\n"
+            "\n".join(f"{int(k)} {fmt(rel)}" for k, rel, _ in rows) + "\n"
         )
         (plots / "energy.dat").write_text(
-            "\n".join(f"{int(k)} {e:.17g}" for k, _, e in rows) + "\n"
+            "\n".join(f"{int(k)} {fmt(e)}" for k, _, e in rows) + "\n"
         )
         produced += ["convergence.dat", "energy.dat"]
 

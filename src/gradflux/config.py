@@ -18,6 +18,7 @@ import numpy as np
 
 from .bregman import SolverConfig
 from .duality import ETA
+from .fieldio import fmt
 from .grid import GridSpec
 from .stability import TABLE1_DELTAS, SweepSpec
 
@@ -171,14 +172,8 @@ def resolved_lines(cfg: RunConfig, command: str) -> list[str]:
         if value is None:
             continue
         if isinstance(value, tuple):
-            rendered = ", ".join(_fmt(v) for v in value)
+            rendered = ", ".join(fmt(v) for v in value)
         else:
-            rendered = _fmt(value)
+            rendered = fmt(value)
         out.append(f"{key} = {rendered}")
     return out
-
-
-def _fmt(v) -> str:
-    if isinstance(v, (float, np.floating)):
-        return f"{v:.17g}"
-    return str(v)

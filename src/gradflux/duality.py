@@ -20,7 +20,8 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .grid import ScalarField, VectorField, divergence, gradient, integrate
+from .fieldio import fmt
+from .grid import ScalarField, VectorField, divergence, gradient, integrate, interior_l1
 from .problems import ProblemData
 
 __all__ = [
@@ -64,7 +65,7 @@ class Certificate:
     flux_bound_violation: float
 
     def as_text(self) -> str:
-        lines = [f"{k} = {v:.17g}" for k, v in self.as_dict().items()]
+        lines = [f"{k} = {fmt(v)}" for k, v in self.as_dict().items()]
         return "\n".join(lines) + "\n"
 
     def as_dict(self) -> dict[str, float]:
@@ -123,11 +124,8 @@ def divergence_residual_l1(
     """Interior L1 norm of div J - H, restricted to nodes whose backward
     stencil (the node itself, its west and its south neighbor) is unmasked."""
     r = np.subtract(divergence(J).values, H.values)
-    r = np.abs(r, out=r)[1:-1, 1:-1]
-    if mask is not None:
-        ok = mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[1:-1, :-2]
-        r = np.where(ok, r, 0.0)
-    return float(J.grid.h ** 2 * r.sum())
+    ok = None if mask is None else mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[1:-1, :-2]
+    return interior_l1(J.grid, np.abs(r, out=r), ok)
 
 
 def certify(u: ScalarField, p: ProblemData, eta: float = ETA) -> Certificate:

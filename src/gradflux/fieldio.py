@@ -1,30 +1,40 @@
-"""Plain-text field files.
+"""Plain-text field files and the one number format of every text output.
 
 One header line ``gradflux-field n=<n> kind=<kind> problem=<tag>`` followed
 by (n+1) rows of (n+1) whitespace-separated values printed with 17
-significant digits, which round-trips doubles exactly: write -> read ->
-write reproduces the file byte for byte.
+significant digits (``FLOAT_SPEC``), which round-trips doubles exactly:
+write -> read -> write reproduces the file byte for byte.
 
-Writing streams one row at a time.  Reading holds about one copy of the
-body text plus the array, which numpy's C text parser fills with the bits
-``float()`` gives; the per-line parse runs only to decide a body that
-parse cannot, and its errors name the file and line.
+Writing streams one row at a time.  Reading streams one line at a time and
+holds one value array per line, under 1.0x the file size in all.  numpy's C
+text parser reads each line with the bits ``float()`` gives; ``float()``
+decides the lines that parser rejects or reads as non-finite or as
+whitespace-only, and errors name the file and line.  Lines end at ``\\n``,
+``\\r\\n`` or ``\\r``; other line breaks (``\\v``, ``\\f``, ``\\x85``, ...)
+separate values inside a line.
 """
 
 from __future__ import annotations
 
 import re
-import warnings
-from bisect import bisect_right
 from pathlib import Path
 
 import numpy as np
 
 from .grid import GridSpec, ScalarField
 
-__all__ = ["FieldFormatError", "read_field_meta", "write_field"]
+__all__ = ["FLOAT_SPEC", "fmt", "FieldFormatError", "read_field_meta", "write_field"]
+
+FLOAT_SPEC = ".17g"  # 17 significant digits: every double prints and reads back exactly
 
 _HEADER_RE = re.compile(r"^gradflux-field n=(\d+) kind=(\S+) problem=(\S+)\s*$")
+
+
+def fmt(v) -> str:
+    """A value as every text output writes it: floats in FLOAT_SPEC, the rest by str()."""
+    if isinstance(v, (float, np.floating)):
+        return format(v, FLOAT_SPEC)
+    return str(v)
 
 
 class FieldFormatError(ValueError):
@@ -32,9 +42,9 @@ class FieldFormatError(ValueError):
 
 
 def write_field(field: ScalarField, path, kind: str = "u", problem: str = "custom") -> None:
-    if re.search(r"\s", kind) or re.search(r"\s", problem):
-        raise ValueError("kind and problem tags must not contain whitespace")
-    row = " ".join(["%.17g"] * (field.grid.n + 1)) + "\n"
+    if not re.fullmatch(r"\S+", kind) or not re.fullmatch(r"\S+", problem):
+        raise ValueError("kind and problem tags must be nonempty and contain no whitespace")
+    row = " ".join(["%" + FLOAT_SPEC] * (field.grid.n + 1)) + "\n"
     with open(path, "w") as f:
         f.write(f"gradflux-field n={field.grid.n} kind={kind} problem={problem}\n")
         for values in field.values:
@@ -42,67 +52,62 @@ def write_field(field: ScalarField, path, kind: str = "u", problem: str = "custo
 
 
 def read_field_meta(path) -> tuple[ScalarField, str, str]:
-    """Read a field file, returning (field, kind, problem tag)."""
+    """Read a field file, returning (field, kind, problem tag).
+
+    Errors, in order of precedence: the first unparsable token, then a value
+    count other than the header's, then the first non-finite value."""
     path = Path(path)
     try:
-        text = path.read_text()
+        f = open(path)
     except OSError as exc:
         raise FieldFormatError(f"{path}: cannot read field file ({exc})") from exc
-    # the first line as splitlines() ends it, without splitting the body into lines
-    header = (text.partition("\n")[0].splitlines() or [""])[0]
-    if not header.strip():
-        raise FieldFormatError(f"{path}: missing header")
-    m = _HEADER_RE.match(header)
-    if m is None:
+    with f:
+        header = f.readline()
+        if not header.strip():
+            raise FieldFormatError(f"{path}: missing header")
+        m = _HEADER_RE.match(header)
+        if m is None:
+            raise FieldFormatError(
+                f"{path}:1: malformed header (expected 'gradflux-field n=<n> kind=<kind> "
+                f"problem=<tag>')"
+            )
+        n, kind, problem = int(m.group(1)), m.group(2), m.group(3)
+        if n < 2:
+            raise FieldFormatError(f"{path}:1: header n={n} is below the minimum of 2")
+        rows = []
+        first_non_finite = None
+        for lineno, line in enumerate(f, start=2):
+            try:
+                row = np.fromstring(line, dtype=float, sep=" ")
+            except ValueError:
+                row = None
+            # numpy rejects '1_0' and fullwidth digits, which float() accepts,
+            # reads 'nan(1)', which float() rejects, as nan, and reads a
+            # whitespace-only line as [-1.0]
+            if row is None or (row.size == 1 and line.isspace()) or not np.isfinite(row).all():
+                row = np.array(_float_tokens(path, lineno, line))
+                bad = np.flatnonzero(~np.isfinite(row))
+                if bad.size and first_non_finite is None:
+                    first_non_finite = f"{path}:{lineno}: non-finite value {row[bad[0]].item()!r}"
+            rows.append(row)
+    expected = (n + 1) * (n + 1)
+    count = sum(row.size for row in rows)
+    if count != expected:
         raise FieldFormatError(
-            f"{path}:1: malformed header (expected 'gradflux-field n=<n> kind=<kind> "
-            f"problem=<tag>')"
+            f"{path}: header announces n={n} ({expected} values) but file holds {count}"
         )
-    n, kind, problem = int(m.group(1)), m.group(2), m.group(3)
-    if n < 2:
-        raise FieldFormatError(f"{path}:1: header n={n} is below the minimum of 2")
-    body = text[len(header):]
-    del text  # hold one copy of the body text
-    # numpy's C parser gives float()'s bits for every finite token it
-    # accepts.  Text it rejects ('1_0' and fullwidth digits, which float()
-    # accepts), a non-finite value ('nan(1)', which float() rejects, reads as
-    # nan) and a wrong count (a whitespace-only body reads as [-1.0]) go to
-    # the per-line parse, which decides.  Older numpy warns, not raises.
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            arr = np.fromstring(body, dtype=float, sep=" ")
-    except (ValueError, DeprecationWarning):
-        arr = None
-    if arr is None or arr.size != (n + 1) * (n + 1) or not np.isfinite(arr).all():
-        arr = _parse_lines(path, body, n)
+    if first_non_finite is not None:
+        raise FieldFormatError(first_non_finite)
+    arr = np.concatenate(rows)
+    del rows  # hold one copy of the values
     return ScalarField(GridSpec(n), arr.reshape(n + 1, n + 1)), kind, problem
 
 
-def _parse_lines(path: Path, body: str, n: int) -> np.ndarray:
-    """Parse the body (the text after the header line, from the line break
-    that ends it) line by line, raising the error that names the first bad
-    line: an unparsable token, then a count mismatch, then a non-finite value."""
-    values: list[float] = []
-    line_ends: list[int] = []  # len(values) after each data line
-    for lineno, line in enumerate(body.splitlines()[1:], start=2):
-        for tok in line.split():
-            try:
-                values.append(float(tok))
-            except ValueError:
-                raise FieldFormatError(
-                    f"{path}:{lineno}: cannot parse value {tok!r}"
-                ) from None
-        line_ends.append(len(values))
-    expected = (n + 1) * (n + 1)
-    if len(values) != expected:
-        raise FieldFormatError(
-            f"{path}: header announces n={n} ({expected} values) but file holds "
-            f"{len(values)}"
-        )
-    arr = np.array(values)
-    bad = np.flatnonzero(~np.isfinite(arr))
-    if bad.size:
-        lineno = 2 + bisect_right(line_ends, bad[0])
-        raise FieldFormatError(f"{path}:{lineno}: non-finite value {float(arr[bad[0]])!r}")
-    return arr
+def _float_tokens(path: Path, lineno: int, line: str) -> list[float]:
+    values = []
+    for tok in line.split():
+        try:
+            values.append(float(tok))
+        except ValueError:
+            raise FieldFormatError(f"{path}:{lineno}: cannot parse value {tok!r}") from None
+    return values

@@ -29,6 +29,7 @@ __all__ = [
     "divergence",
     "laplacian",
     "norm",
+    "interior_l1",
     "inner",
     "integrate",
 ]
@@ -201,16 +202,24 @@ def norm(field, kind: str) -> float:
     """Discrete norms: L1 = h^2 * interior sum, L2 = (h^2 * full sum)^(1/2),
     Linf = max over all nodes.  Vector fields are measured through their
     pointwise Euclidean magnitude."""
-    h2 = field.grid.h ** 2
     mag = _pointwise_magnitude(field)
     k = kind.lower()
     if k == "l1":
-        return float(h2 * mag[1:-1, 1:-1].sum())
+        return interior_l1(field.grid, mag)
     if k == "l2":
-        return float(np.sqrt(h2 * (mag ** 2).sum()))
+        return float(np.sqrt(field.grid.h ** 2 * (mag ** 2).sum()))
     if k == "linf":
         return float(mag.max())
     raise ValueError(f"unknown norm kind {kind!r}; expected L1, L2 or Linf")
+
+
+def interior_l1(grid: GridSpec, mag: np.ndarray, mask: np.ndarray | None = None) -> float:
+    """The discrete L1 rule: h^2 * the sum of mag over interior nodes, counting
+    only the interior nodes where mask, an (n-1) x (n-1) array, holds if given."""
+    interior = mag[1:-1, 1:-1]
+    if mask is not None:
+        interior = np.where(mask, interior, 0.0)
+    return float(grid.h ** 2 * interior.sum())
 
 
 def inner(a, b) -> float:

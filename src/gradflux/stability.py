@@ -26,7 +26,7 @@ import numpy as np
 
 from .bregman import SolveResult, SolverConfig, solve
 from .duality import ETA, check_eta, flux
-from .grid import GridSpec, gradient, norm
+from .grid import GridSpec, gradient, interior_l1, norm
 from .perturb import PerturbedProblem, apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
 from .problems import ProblemData, example1
@@ -198,14 +198,6 @@ def fit_rate(points) -> RateFit:
     return RateFit(slope=float(coef[0]), intercept=float(coef[1]), points_used=len(pts))
 
 
-def _l1_interior(grid: GridSpec, vals: np.ndarray) -> float:
-    return float(grid.h ** 2 * vals[1:-1, 1:-1].sum())
-
-
-def _joint_l1(grid: GridSpec, vals: np.ndarray, joint_mask: np.ndarray) -> float:
-    return _l1_interior(grid, np.where(joint_mask, vals, 0.0))
-
-
 def _misalignment(grid: GridSpec, J0, J1) -> float:
     # sqrt(|J0|^2 |J1|^2) - J0.J1 recovers an exact zero for bitwise-equal
     # fluxes, which the zero-perturbation identity relies on
@@ -215,7 +207,7 @@ def _misalignment(grid: GridSpec, J0, J1) -> float:
     integrand = np.sqrt(msq0 * msq1) - dot
     if integrand.min() < -1e-12 * max(msq0.max(), msq1.max(), 1.0):
         raise AssertionError("misalignment integrand went negative")
-    return _l1_interior(grid, np.maximum(integrand, 0.0))
+    return interior_l1(grid, np.maximum(integrand, 0.0))
 
 
 def _seed_averaged(rows: list[SweepRow], column: str) -> list[tuple[float, float]]:
@@ -343,8 +335,8 @@ def run_sweep(
             eps=eps,
             seed=-1 if seed is None else seed,
             err_u_l1=norm(u1 - u0, "l1"),
-            err_gradu_l1=_joint_l1(grid, grad_diff, joint),
-            err_sigma_l1=_joint_l1(grid, sigma_diff, joint),
+            err_gradu_l1=interior_l1(grid, np.where(joint, grad_diff, 0.0)),
+            err_sigma_l1=interior_l1(grid, np.where(joint, sigma_diff, 0.0)),
             err_J_l1=norm(base_flux.J - new_flux.J, "l1"),
             energy_diff=abs(base_flux.energy - new_flux.energy),
             misalignment=_misalignment(grid, base_flux.J, new_flux.J),
