@@ -21,7 +21,6 @@ from .perturb import (
     make_perturbed,
     noise_scalar,
     noise_vector,
-    perturb_potential,
     perturb_weight,
 )
 from .poisson import PoissonSolver

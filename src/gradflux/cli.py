@@ -58,12 +58,16 @@ def _write_csv(path: Path, comments, columns, rows) -> None:
     lines.append(",".join(columns))
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _build_problem(cfg: RunConfig) -> ProblemData:
+def _build_problem(cfg: RunConfig) -> tuple[ProblemData, ScalarField | None]:
+    """The instance (a, F, H) and, if an f_file gives it, the potential f of
+    F = grad f, which ``solve`` writes back and ``contour`` adds to u.
+
+    A files run takes its grid from the files and records that n in cfg."""
     if cfg.problem == "example1":
-        return example1(GridSpec(cfg.n))
+        return example1(GridSpec(cfg.n)), None
     fields = {}
     for key, path in (("a", cfg.a_file), ("h", cfg.h_file), ("f", cfg.f_file)):
         if path is None:
@@ -73,26 +77,19 @@ def _build_problem(cfg: RunConfig) -> ProblemData:
     if len(set(ns.values())) > 1:
         raise UsageError(f"grid mismatch between field files: {ns}")
     grid = fields["a"].grid
-    if "f" in fields:
-        potential = fields["f"]
-        drift = gradient(potential)
-    else:
-        potential = ScalarField.zeros(grid)
-        drift = VectorField.zeros(grid)
-    p = ProblemData(
-        grid,
-        a=fields["a"],
-        F=drift,
-        H=fields["h"],
-        potential_f=potential,
-        name="files",
-    )
+    if cfg.n is None:
+        cfg.n = grid.n
+    elif cfg.n != grid.n:
+        raise UsageError(f"key 'n' = {cfg.n} does not match the field files' n={grid.n}")
+    potential = fields.get("f")
+    drift = VectorField.zeros(grid) if potential is None else gradient(potential)
+    p = ProblemData(grid, a=fields["a"], F=drift, H=fields["h"], name="files")
     if p.m <= 0.0:
         raise UsageError(
             f"a_file {cfg.a_file}: the weight must be positive at every node, "
             f"but its minimum is {p.m:g}"
         )
-    return p
+    return p, potential
 
 
 def _read_u_file(cfg: RunConfig, grid: GridSpec) -> ScalarField:
@@ -103,7 +100,7 @@ def _read_u_file(cfg: RunConfig, grid: GridSpec) -> ScalarField:
 
 
 def _write_certificate(out: Path, cert: Certificate, comments) -> None:
-    (out / "certificate.txt").write_text(cert.as_text())
+    (out / "certificate.txt").write_text(cert.as_text(), encoding="utf-8")
     d = cert.as_dict()
     _write_csv(out / "certificate.csv", comments, tuple(d), [tuple(d.values())])
 
@@ -117,18 +114,19 @@ def _nonconvergence_status(failed: bool, message: str, strict: bool) -> int:
 
 
 def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
-    p = _build_problem(cfg)
+    p, potential = _build_problem(cfg)
     exact = p.exact_u
     if cfg.delta > 0:
         p = apply_table1_noise(p, cfg.delta, cfg.seeds[0])
+        potential = None  # the noise moves F, so f is no longer its potential
     res = solve(p, replace(cfg.solver, record_history=True), PoissonSolver(p.grid))
     comments = resolved_lines(cfg, "solve")
 
     write_field(res.state.u, out / "solution.field", kind="u", problem=p.name)
     write_field(p.a, out / "a.field", kind="a", problem=p.name)
     write_field(p.H, out / "h.field", kind="h", problem=p.name)
-    if p.potential_f is not None:
-        write_field(p.potential_f, out / "f.field", kind="f", problem=p.name)
+    if potential is not None:
+        write_field(potential, out / "f.field", kind="f", problem=p.name)
     if exact is not None:
         write_field(exact, out / "u_exact.field", kind="u_exact", problem=p.name)
     _write_csv(
@@ -149,7 +147,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
 def _cmd_certify(cfg: RunConfig, out: Path) -> int:
     if cfg.u_file is None:
         raise UsageError("certify needs key 'u_file' (the solution field to check)")
-    p = _build_problem(cfg)
+    p, _ = _build_problem(cfg)
     u = _read_u_file(cfg, p.grid)
     if np.abs(u.boundary_values()).max() != 0.0:
         raise UsageError("solution in u_file must vanish on the boundary")
@@ -186,7 +184,7 @@ def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]
 
 
 def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
-    report = run_sweep(_build_problem(cfg), cfg.sweep)
+    report = run_sweep(_build_problem(cfg)[0], cfg.sweep)
     unconverged = [f"eps = {fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report, unconverged)
     rows = [tuple(getattr(r, c) for c in REPORT_COLUMNS) for r in report.rows]
@@ -229,14 +227,14 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 def _contour_field(cfg: RunConfig) -> ScalarField:
     """v = u + f, the field whose level sets ``contour`` measures."""
-    p = _build_problem(cfg)
+    p, potential = _build_problem(cfg)
     if cfg.u_file is not None:
         u = _read_u_file(cfg, p.grid)
     elif p.exact_u is not None:
         u = p.exact_u
     else:
         raise UsageError("contour needs 'u_file' or a problem with a known solution")
-    return u if p.potential_f is None else u + p.potential_f
+    return u if potential is None else u + potential
 
 
 def _cmd_contour(cfg: RunConfig, out: Path) -> int:
@@ -251,7 +249,7 @@ def _cmd_contour(cfg: RunConfig, out: Path) -> int:
 
 def _read_history_csv(path: Path) -> list[tuple[float, float, float]]:
     rows = []
-    for line in path.read_text().splitlines():
+    for line in path.read_text(encoding="utf-8").splitlines():
         if line.startswith("#") or line.startswith("k,"):
             continue
         k, rel, energy = line.split(",")
@@ -262,7 +260,7 @@ def _read_history_csv(path: Path) -> list[tuple[float, float, float]]:
 def _write_surface(path: Path, field: ScalarField) -> None:
     """gnuplot surface data: one "x y value" line per node, a blank line after each row."""
     ax = field.grid.axis().tolist()
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         for x, row in zip(ax, field.values):
             f.writelines(
                 f"{x:{FLOAT_SPEC}} {y:{FLOAT_SPEC}} {v:{FLOAT_SPEC}}\n"
@@ -280,10 +278,10 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
     if history.exists():
         rows = _read_history_csv(history)
         (plots / "convergence.dat").write_text(
-            "\n".join(f"{int(k)} {fmt(rel)}" for k, rel, _ in rows) + "\n"
+            "\n".join(f"{int(k)} {fmt(rel)}" for k, rel, _ in rows) + "\n", encoding="utf-8"
         )
         (plots / "energy.dat").write_text(
-            "\n".join(f"{int(k)} {fmt(e)}" for k, _, e in rows) + "\n"
+            "\n".join(f"{int(k)} {fmt(e)}" for k, _, e in rows) + "\n", encoding="utf-8"
         )
         produced += ["convergence.dat", "energy.dat"]
 
@@ -330,7 +328,7 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
                 f"splot '{name}' with pm3d title '{title}'",
                 "pause -1 'press enter'",
             ]
-    (plots / "plot.gp").write_text("\n".join(script) + "\n")
+    (plots / "plot.gp").write_text("\n".join(script) + "\n", encoding="utf-8")
     return 0
 
 

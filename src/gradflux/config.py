@@ -1,7 +1,8 @@
 """Flat ``key = value`` run configuration.
 
 Every numeric default mirrors the reference experiments (n=100, lambda=1,
-tol=1e-7), read from the library type that uses it where one does.  Keys are
+tol=1e-7), read from the library type that uses it where one does; a
+``problem = files`` run takes n from its field files instead.  Keys are
 range-checked before any compute happens, mostly by building those types;
 unknown or out-of-place keys are rejected with a message naming the key; and
 the fully resolved configuration can be rendered as stable comment lines so
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from pathlib import Path
+from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -31,7 +33,7 @@ class UsageError(ValueError):
 
 @dataclass
 class RunConfig:
-    n: int = 100
+    n: int | None = None  # unset: 100 for example1, the field files' n for files
     lam: float = SolverConfig.lam
     tol: float = SolverConfig.tol
     max_iter: int = SolverConfig.max_iter
@@ -80,8 +82,8 @@ def parse_config_file(path) -> dict[str, str]:
     """Read ``key = value`` lines; '#' starts a comment, blank lines ignored."""
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     raw: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -102,6 +104,8 @@ _TYPE_NAMES = {int: "an integer", float: "a number"}
 
 def _parse(key: str, value: str, kind):
     """Parse one value by the type of its RunConfig field."""
+    if isinstance(kind, UnionType):  # 'X | None': None is only ever the default
+        kind = get_args(kind)[0]
     if get_origin(kind) is tuple:
         items = [tok.strip() for tok in value.split(",") if tok.strip()]
         if not items:
@@ -140,8 +144,13 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
             raise UsageError(f"key {key!r} must be finite")
     if cfg.lam <= 0:
         raise UsageError("key 'lambda' must be positive")
+    if cfg.problem not in ("example1", "files"):
+        raise UsageError("key 'problem' must be example1 or files")
+    if cfg.n is None and cfg.problem == "example1":
+        cfg.n = 100
     try:
-        GridSpec(cfg.n)
+        if cfg.n is not None:
+            GridSpec(cfg.n)
         cfg.sweep  # builds cfg.solver first
     except ValueError as exc:
         raise UsageError(str(exc)) from None
@@ -151,8 +160,6 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
         raise UsageError("key 'deltas' must be nonnegative")
     if any(s < 0 for s in cfg.seeds):
         raise UsageError("key 'seeds' must be nonnegative integers")
-    if cfg.problem not in ("example1", "files"):
-        raise UsageError("key 'problem' must be example1 or files")
     if command == "table1" and cfg.problem != "example1":
         raise UsageError("table1 runs on the built-in example1 instance only")
     if cfg.problem == "files":

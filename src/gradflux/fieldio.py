@@ -5,11 +5,12 @@ by (n+1) rows of (n+1) whitespace-separated values printed with 17
 significant digits (``FLOAT_SPEC``), which round-trips doubles exactly:
 write -> read -> write reproduces the file byte for byte.
 
-Writing streams one row at a time.  Reading streams one line at a time and
-holds one value array per line, under 1.0x the file size in all.  numpy's C
-text parser reads each line with the bits ``float()`` gives; ``float()``
-decides the lines that parser rejects or reads as non-finite or as
-whitespace-only, and errors name the file and line.  Lines end at ``\\n``,
+Files are UTF-8 text; a byte that does not decode is a format error naming
+the file.  Writing streams one row at a time.  Reading streams one line at a
+time and holds one value array per line, under 1.0x the file size in all.
+numpy's C text parser reads each line with the bits ``float()`` gives;
+``float()`` decides the lines that parser rejects or reads as non-finite or
+as whitespace-only, and errors name the file and line.  Lines end at ``\\n``,
 ``\\r\\n`` or ``\\r``; other line breaks (``\\v``, ``\\f``, ``\\x85``, ...)
 separate values inside a line.
 """
@@ -45,7 +46,7 @@ def write_field(field: ScalarField, path, kind: str = "u", problem: str = "custo
     if not re.fullmatch(r"\S+", kind) or not re.fullmatch(r"\S+", problem):
         raise ValueError("kind and problem tags must be nonempty and contain no whitespace")
     row = " ".join(["%" + FLOAT_SPEC] * (field.grid.n + 1)) + "\n"
-    with open(path, "w") as f:
+    with open(path, "w", encoding="utf-8") as f:
         f.write(f"gradflux-field n={field.grid.n} kind={kind} problem={problem}\n")
         for values in field.values:
             f.write(row % tuple(values.tolist()))
@@ -58,38 +59,40 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
     count other than the header's, then the first non-finite value."""
     path = Path(path)
     try:
-        f = open(path)
+        with open(path, encoding="utf-8") as f:
+            header = f.readline()
+            if not header.strip():
+                raise FieldFormatError(f"{path}: missing header")
+            m = _HEADER_RE.match(header)
+            if m is None:
+                raise FieldFormatError(
+                    f"{path}:1: malformed header (expected 'gradflux-field n=<n> kind=<kind> "
+                    f"problem=<tag>')"
+                )
+            n, kind, problem = int(m.group(1)), m.group(2), m.group(3)
+            if n < 2:
+                raise FieldFormatError(f"{path}:1: header n={n} is below the minimum of 2")
+            rows = []
+            first_non_finite = None
+            for lineno, line in enumerate(f, start=2):
+                try:
+                    row = np.fromstring(line, dtype=float, sep=" ")
+                except ValueError:
+                    row = None
+                # numpy rejects '1_0' and fullwidth digits, which float() accepts,
+                # reads 'nan(1)', which float() rejects, as nan, and reads a
+                # whitespace-only line as [-1.0]
+                if row is None or (row.size == 1 and line.isspace()) or not np.isfinite(row).all():
+                    row = np.array(_float_tokens(path, lineno, line))
+                    bad = np.flatnonzero(~np.isfinite(row))
+                    if bad.size and first_non_finite is None:
+                        value = row[bad[0]].item()
+                        first_non_finite = f"{path}:{lineno}: non-finite value {value!r}"
+                rows.append(row)
     except OSError as exc:
         raise FieldFormatError(f"{path}: cannot read field file ({exc})") from exc
-    with f:
-        header = f.readline()
-        if not header.strip():
-            raise FieldFormatError(f"{path}: missing header")
-        m = _HEADER_RE.match(header)
-        if m is None:
-            raise FieldFormatError(
-                f"{path}:1: malformed header (expected 'gradflux-field n=<n> kind=<kind> "
-                f"problem=<tag>')"
-            )
-        n, kind, problem = int(m.group(1)), m.group(2), m.group(3)
-        if n < 2:
-            raise FieldFormatError(f"{path}:1: header n={n} is below the minimum of 2")
-        rows = []
-        first_non_finite = None
-        for lineno, line in enumerate(f, start=2):
-            try:
-                row = np.fromstring(line, dtype=float, sep=" ")
-            except ValueError:
-                row = None
-            # numpy rejects '1_0' and fullwidth digits, which float() accepts,
-            # reads 'nan(1)', which float() rejects, as nan, and reads a
-            # whitespace-only line as [-1.0]
-            if row is None or (row.size == 1 and line.isspace()) or not np.isfinite(row).all():
-                row = np.array(_float_tokens(path, lineno, line))
-                bad = np.flatnonzero(~np.isfinite(row))
-                if bad.size and first_non_finite is None:
-                    first_non_finite = f"{path}:{lineno}: non-finite value {row[bad[0]].item()!r}"
-            rows.append(row)
+    except UnicodeDecodeError as exc:
+        raise FieldFormatError(f"{path}: not UTF-8 text ({exc})") from None
     expected = (n + 1) * (n + 1)
     count = sum(row.size for row in rows)
     if count != expected:

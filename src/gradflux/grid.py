@@ -115,11 +115,6 @@ class ScalarField:
         _check_same_grid(self, other)
         return ScalarField(self.grid, self.values - other.values)
 
-    def __mul__(self, c: float) -> "ScalarField":
-        return ScalarField(self.grid, self.values * float(c))
-
-    __rmul__ = __mul__
-
 
 @dataclass(frozen=True, eq=False)
 class VectorField:
@@ -149,11 +144,6 @@ class VectorField:
 
     def __sub__(self, other: "VectorField") -> "VectorField":
         return VectorField(self.x - other.x, self.y - other.y)
-
-    def __mul__(self, c: float) -> "VectorField":
-        return VectorField(self.x * c, self.y * c)
-
-    __rmul__ = __mul__
 
 
 def _check_same_grid(a, b):

@@ -7,12 +7,11 @@ equals the requested noise level exactly:
     out = field + gamma * R,   gamma = delta * |field|_F / |R|_F.
 
 Structured perturbations are a constant shift or a smooth interior bump of
-a and H, and a potential bump of the drift: f moves by
-df = epsilon sin(pi x) sin(pi y) and F by its discrete gradient, whether or
-not the instance stores f.  ``make_perturbed`` measures each change as it
-applies it, in the norms the stability estimates are stated in: |a - a~|_inf,
-|H - H~|_inf, |F - F~|_L1 and |f - f~|_W11.  Everything is deterministic
-given the inputs, the seed and the amplitude.
+a and H, and a potential bump of the drift: F moves by the discrete
+gradient of df = epsilon sin(pi x) sin(pi y).  ``make_perturbed`` measures
+each change as it applies it, in the norms the stability estimates are
+stated in: |a - a~|_inf, |H - H~|_inf, |F - F~|_L1 and |f - f~|_W11.
+Everything is deterministic given the inputs, the seed and the amplitude.
 """
 
 from __future__ import annotations
@@ -31,7 +30,6 @@ __all__ = [
     "noise_scalar",
     "noise_vector",
     "perturb_weight",
-    "perturb_potential",
     "make_perturbed",
     "apply_table1_noise",
     "check_param_mode",
@@ -115,16 +113,6 @@ def perturb_weight(a: ScalarField, epsilon: float, mode: str = "constant-shift")
     raise ValueError(f"unknown perturbation mode {mode!r}")
 
 
-def perturb_potential(f: ScalarField, epsilon: float) -> tuple[ScalarField, VectorField]:
-    """Potential bump f + epsilon sin(pi x) sin(pi y) and its discrete gradient.
-
-    The returned drift is a discrete gradient by construction, hence
-    curl-free under the forward-difference operators.
-    """
-    f_new = ScalarField(f.grid, f.values + epsilon * _bump(f.grid))
-    return f_new, gradient(f_new)
-
-
 @dataclass(frozen=True, eq=False)
 class PerturbedProblem:
     """Perturbed instance with the sizes of the changes that built it."""
@@ -142,20 +130,18 @@ def make_perturbed(
 ) -> PerturbedProblem:
     """Build the perturbed instance for one sweep row.
 
-    param selects which data moves: the weight a, the drift potential f, the
-    forcing H, or all three combined (a and H via the requested mode, the
-    drift always via the potential bump).  mode="noise" draws stochastic
-    perturbations for a or H at level epsilon and needs a seed.  Without a
-    stored potential the bump's gradient is added to the drift, so the
-    change is still a discrete gradient.  The base instance's exact solution
-    is carried over for error reporting.
+    param selects which data moves: the weight a, the drift through its
+    potential f, the forcing H, or all three combined (a and H via the
+    requested mode, the drift always by F + grad df, a discrete gradient and
+    so curl-free).  mode="noise" draws stochastic perturbations for a or H at
+    level epsilon and needs a seed.  The base instance's exact solution is
+    carried over for error reporting.
     """
     check_param_mode(param, mode)
     if mode == "noise" and seed is None:
         raise ValueError("stochastic mode needs a seed")
 
     a, F, H = base.a, base.F, base.H
-    potential = base.potential_f
     sizes: dict[str, float] = {}
 
     def scalar_op(field: ScalarField) -> ScalarField:
@@ -170,22 +156,14 @@ def make_perturbed(
         H = scalar_op(H)
         sizes["H_linf"] = norm(base.H - H, "linf")
     if param in ("f", "combined"):
-        df, dF = perturb_potential(ScalarField.zeros(base.grid), epsilon)
-        if potential is None:
-            F = F + dF
-        else:
-            potential, F = perturb_potential(potential, epsilon)
+        df = ScalarField(base.grid, epsilon * _bump(base.grid))
+        dF = gradient(df)
+        F = F + dF
         sizes["F_l1"] = norm(base.F - F, "l1")
         sizes["f_w11"] = norm(df, "l1") + norm(dF, "l1")
 
     perturbed = ProblemData(
-        base.grid,
-        a=a,
-        F=F,
-        H=H,
-        exact_u=base.exact_u,
-        potential_f=potential,
-        name=f"{base.name}+{param}",
+        base.grid, a=a, F=F, H=H, exact_u=base.exact_u, name=f"{base.name}+{param}"
     )
     return PerturbedProblem(perturbed=perturbed, measured_sizes=sizes)
 

@@ -194,7 +194,7 @@ def test_criterion_5_numerical_kernels(prob100):
         exact = ScalarField.from_function(
             gg, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y)
         )
-        out = PoissonSolver(gg).solve_dirichlet(-2.0 * np.pi**2 * exact)
+        out = PoissonSolver(gg).solve_dirichlet(ScalarField(gg, -2.0 * np.pi**2 * exact.values))
         errors[n] = norm(out - exact, "linf")
     ratio = errors[50] / errors[100]
     print(f"[acceptance]   poisson refinement ratio 50->100: {ratio:.3f}")

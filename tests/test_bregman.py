@@ -10,6 +10,7 @@ from gradflux import (
     SolverState,
     VectorField,
     apply_table1_noise,
+    certify,
     divergence,
     example1,
     flux,
@@ -60,7 +61,8 @@ class TestShrinkStep:
         g = GridSpec(4)
         x, y = g.meshgrid()
         F = VectorField.from_arrays(g, x + 1.0, y - 2.0)
-        out = shrink_step(-1.0 * F, VectorField.zeros(g), F, ScalarField.full(g, 1.0), 1.0)
+        minus_F = VectorField.from_arrays(g, -F.x.values, -F.y.values)
+        out = shrink_step(minus_F, VectorField.zeros(g), F, ScalarField.full(g, 1.0), 1.0)
         assert np.array_equal(out.x.values, -F.x.values)
         assert np.array_equal(out.y.values, -F.y.values)
 
@@ -301,17 +303,27 @@ class TestConvergedProperties:
         assert num / den <= 0.1
 
 
-def dual_certified(u, J, p):
-    """Whether J certifies u with the h^2 all-node pairing, under which gradient
-    and divergence are exact adjoints: |gap_h| <= 1e-6 P_h with
-    gap_h = P_h(u) - <F, J>_h, |div J - H|_L1 <= 1e-5 |H|_L1 and |J| <= a."""
+def lam_b(state, lam):
+    """The solver's dual iterate J = lam b."""
+    b = state.b
+    return VectorField.from_arrays(b.grid, lam * b.x.values, lam * b.y.values)
+
+
+def dual_measures(u, J, p):
+    """(P_h, gap_h, |div J - H|_L1, max(|J| - a)) with the h^2 all-node pairing,
+    under which gradient and divergence are exact adjoints; gap_h = P_h(u) - <F, J>_h."""
     g = gradient(u)
     gx, gy = g.x.values + p.F.x.values, g.y.values + p.F.y.values
     primal = p.grid.h ** 2 * (p.a.values * np.hypot(gx, gy) + p.H.values * u.values).sum()
-    gap = primal - inner(p.F, J)
-    residual = norm(divergence(J) - p.H, "l1") / norm(p.H, "l1")
     excess = (np.hypot(J.x.values, J.y.values) - p.a.values).max()
-    return abs(gap) <= 1e-6 * primal and residual <= 1e-5 and excess <= 1e-12
+    return primal, primal - inner(p.F, J), norm(divergence(J) - p.H, "l1"), excess
+
+
+def dual_certified(u, J, p):
+    """Whether J certifies u: |gap_h| <= 1e-6 P_h, |div J - H|_L1 <= 1e-5 |H|_L1
+    and |J| <= a."""
+    primal, gap, residual, excess = dual_measures(u, J, p)
+    return abs(gap) <= 1e-6 * primal and residual / norm(p.H, "l1") <= 1e-5 and excess <= 1e-12
 
 
 def pdhg_oracle(p, max_iter=50_000):
@@ -353,9 +365,48 @@ def test_split_bregman_and_pdhg_certify_the_same_noised_minimizer():
     for _ in range(50):
         for _ in range(100):
             state = iterate(state, p, cfg, poisson)
-        if dual_certified(state.u, cfg.lam * state.b, p):
+        if dual_certified(state.u, lam_b(state, cfg.lam), p):
             break
     else:
         pytest.fail("split Bregman did not certify within 5000 iterations")
     u_pdhg = pdhg_oracle(p)
     assert norm(state.u - u_pdhg, "l2") <= 1e-3 * norm(u_pdhg, "l2")
+
+
+def heisenberg(n):
+    """The p-area of a graph over the square in the Heisenberg group (Cheng,
+    Hwang, Malchiodi & Yang 2005), centred: a = 1, F = (-(y - 1/2), x - 1/2),
+    H = 0.  F vanishes at the centre, the characteristic point."""
+    g = GridSpec(n)
+    x, y = g.meshgrid()
+    F = VectorField.from_arrays(g, 0.5 - y, x - 0.5)
+    return ProblemData(g, a=ScalarField.full(g, 1.0), F=F, H=ScalarField.zeros(g))
+
+
+def test_heisenberg_p_area_certifies_from_lambda_b_but_not_from_sigma():
+    # u = 0 is the continuum minimizer and J = F/|F| certifies it: |J| = 1 and
+    # div J = 0; its energy is the mean distance to the centre
+    exact = (np.sqrt(2.0) + np.log1p(np.sqrt(2.0))) / 6.0  # 0.382598
+    cfg = SolverConfig(lam=0.25)
+    errors = {}
+    for n, expected_iterations in ((32, 300), (64, 600)):
+        p = heisenberg(n)
+        poisson = PoissonSolver(p.grid)
+        state = SolverState.initial(p.grid)
+        for _ in range(2 * expected_iterations // 100):
+            for _ in range(100):
+                state = iterate(state, p, cfg, poisson)
+            # H = 0, so the divergence residual is bounded relative to P_h
+            primal, gap, residual, excess = dual_measures(state.u, lam_b(state, cfg.lam), p)
+            if abs(gap) <= 1e-6 * primal and residual <= 1e-5 * primal and excess <= 1e-12:
+                break
+        else:
+            pytest.fail(f"lambda b did not certify within {2 * expected_iterations} iterations")
+        errors[n] = primal - exact
+        if n == 32:
+            # sigma = a / |grad u + F| is not the dual near the characteristic point
+            cert = certify(state.u, p)
+            assert cert.el_residual_l1 == pytest.approx(0.39, abs=0.02)
+            assert cert.el_residual_l1 > 1e4 * residual
+    assert errors[32] == pytest.approx(0.0367, abs=5e-4)
+    assert 0.45 <= errors[64] / errors[32] <= 0.55  # first order in h

@@ -51,6 +51,12 @@ class TestConfigParsing:
         with pytest.raises(UsageError, match="duplicate"):
             parse_config_file(cfg)
 
+    def test_undecodable_config_is_usage_error(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"# caf\xe9\nn = 16\n")
+        with pytest.raises(UsageError, match=f"cannot read config file {cfg}: .*0xe9"):
+            parse_config_file(cfg)
+
     def test_type_errors_name_the_key(self):
         with pytest.raises(UsageError, match="'n' needs an integer"):
             build_config({"n": "ten"}, "solve")
@@ -226,6 +232,30 @@ class TestCertifyCommand:
         assert "u_file" in capsys.readouterr().err
 
 
+class TestUndecodableInput:
+    def test_contour_on_undecodable_field_exits_1(self, tmp_path, capsys):
+        upath = tmp_path / "u.field"
+        upath.write_bytes(b"gradflux-field n=2 kind=u problem=t\n0 0 0\n0 \xff 0\n0 0 0\n")
+        cfg = write_cfg(tmp_path / "c.cfg", problem="example1", n=2, u_file=str(upath))
+        assert main(["contour", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+        assert f"gradflux: {upath}: not UTF-8 text" in capsys.readouterr().err
+
+    def test_solve_on_undecodable_config_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_bytes(b"problem = example1  # caf\xe9\nn = 8\n")
+        out = tmp_path / "o"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 1
+        assert f"gradflux: cannot read config file {cfg}" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def write_constant_files(tmp_path, n):
+    g = GridSpec(n)
+    write_field(ScalarField.full(g, 1.0), tmp_path / "a.field", kind="a")
+    write_field(ScalarField.full(g, 0.5), tmp_path / "h.field", kind="h")
+    return dict(problem="files", a_file=tmp_path / "a.field", h_file=tmp_path / "h.field")
+
+
 class TestFilesProblem:
     def test_solve_from_field_files(self, tmp_path):
         g = GridSpec(24)
@@ -292,6 +322,25 @@ class TestFilesProblem:
         err = capsys.readouterr().err
         assert "a_file" in err and f"minimum is {bad:g}" in err
         assert not (out / written).exists()
+
+    def test_n_that_disagrees_with_the_files_rejected_before_solve(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path / "solve.cfg", n=50, **write_constant_files(tmp_path, 16))
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert "key 'n' = 50 does not match the field files' n=16" in err
+        assert not (out / "solution.field").exists()
+
+    @pytest.mark.parametrize("n_key", [{}, {"n": 16}])
+    def test_resolved_n_is_the_files_n(self, tmp_path, n_key):
+        cfg = write_cfg(
+            tmp_path / "solve.cfg", max_iter=20, **n_key, **write_constant_files(tmp_path, 16)
+        )
+        out = tmp_path / "o"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        history = (out / "history.csv").read_text().splitlines()
+        assert [line for line in history if "n =" in line] == ["# n = 16"]
+        assert not (out / "f.field").exists()  # no f_file, no potential
 
     def test_mismatched_field_grids_reported(self, tmp_path, capsys):
         write_field(ScalarField.full(GridSpec(8), 1.0), tmp_path / "a.field", kind="a")
@@ -502,3 +551,28 @@ def test_console_script_subprocess(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "o" / "solution.field").exists()
+
+
+def test_every_command_names_its_text_encoding(tmp_path):
+    """All six commands in one interpreter that turns every text open relying
+    on the locale's default encoding into an error (PEP 597)."""
+    run = tmp_path / "run"
+    keys = dict(problem="example1", n=8)
+    configs = {
+        "solve": dict(keys, max_iter=2000),
+        "plotdata": keys,
+        "certify": dict(keys, u_file=run / "solution.field"),
+        "contour": dict(keys, u_file=run / "solution.field"),
+        "sweep": dict(keys, max_iter=2000, epsilons="0.04, 0.02"),
+        "table1": dict(n=8, deltas=0.01, seeds=0),
+    }
+    argvs = [
+        [command, "--config", write_cfg(tmp_path / f"{command}.cfg", **k), "--out", str(run)]
+        for command, k in configs.items()
+    ]
+    code = f"import sys\nfrom gradflux.cli import main\nsys.exit(any([main(a) for a in {argvs!r}]))"
+    flags = ["-X", "warn_default_encoding", "-W", "error::EncodingWarning"]
+    proc = subprocess.run([sys.executable, *flags, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    written = ("history.csv", "plots", "certificate.txt", "contour.csv", "sweep.csv", "table1.csv")
+    assert all((run / name).exists() for name in written)

@@ -69,6 +69,14 @@ def test_bad_token_names_line(tmp_path):
         read_field_meta(path)[0]
 
 
+def test_undecodable_byte_names_file(tmp_path):
+    path = tmp_path / "bytes.field"
+    path.write_bytes(b"gradflux-field n=2 kind=u problem=t\n1 2 3\n4 \xff 6\n7 8 9\n")
+    with pytest.raises(FieldFormatError) as err:
+        read_field_meta(path)
+    assert str(err.value).startswith(f"{path}: not UTF-8 text")
+
+
 def test_non_finite_value_names_line(tmp_path):
     path = tmp_path / "nan.field"
     path.write_text("gradflux-field n=2 kind=u problem=t\n1 2 3\n4 5 6\n7 nan 9\n")
@@ -91,7 +99,8 @@ def test_whitespace_in_tags_rejected(tmp_path):
 
 
 def _write_body(path, rows, newline="\n"):
-    path.write_text(newline.join(["gradflux-field n=2 kind=u problem=t", *rows]) + newline)
+    text = newline.join(["gradflux-field n=2 kind=u problem=t", *rows]) + newline
+    path.write_text(text, encoding="utf-8")
 
 
 @pytest.mark.parametrize(

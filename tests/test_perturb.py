@@ -12,7 +12,6 @@ from gradflux import (
     noise_scalar,
     noise_vector,
     norm,
-    perturb_potential,
     perturb_weight,
 )
 from gradflux.perturb import apply_table1_noise
@@ -119,33 +118,6 @@ class TestPerturbWeight:
             perturb_weight(a, -0.9, "constant-shift")
 
 
-class TestPerturbPotential:
-    def test_zero_amplitude_identity(self):
-        g = GridSpec(16)
-        f = ScalarField.from_function(g, lambda x, y: x + y * y)
-        f1, F1 = perturb_potential(f, 0.0)
-        assert np.array_equal(f1.values, f.values)
-        assert np.array_equal(F1.x.values, gradient(f).x.values)
-
-    def test_w11_distance_scales_linearly(self):
-        g = GridSpec(20)
-        f = ScalarField.from_function(g, lambda x, y: np.cos(x) * y)
-
-        def w11(eps):
-            f1, _ = perturb_potential(f, eps)
-            diff = f1 - f
-            return norm(diff, "l1") + norm(gradient(diff), "l1")
-
-        assert w11(0.08) == pytest.approx(2 * w11(0.04), rel=1e-12)
-
-    def test_perturbed_drift_is_curl_free(self):
-        g = GridSpec(24)
-        f = ScalarField.from_function(g, lambda x, y: x * x - y)
-        _, F1 = perturb_potential(f, 0.37)
-        curl = gradient(F1.x).y.values - gradient(F1.y).x.values
-        assert np.abs(curl).max() <= 1e-11 / g.h
-
-
 class TestMakePerturbed:
     def test_measured_sizes_match_norms_of_the_changes(self, prob100):
         eps = 0.03
@@ -166,22 +138,6 @@ class TestMakePerturbed:
         assert expected["a_linf"] == pytest.approx(eps, rel=1e-12)
         assert expected["H_linf"] == pytest.approx(eps, rel=1e-12)
 
-    def test_drift_sizes_with_stored_potential(self):
-        g = GridSpec(16)
-        f = ScalarField.from_function(g, lambda x, y: np.cos(x) * y)
-        p = ProblemData(
-            g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g), potential_f=f
-        )
-        pp = make_perturbed(p, "f", 0.05)
-        diff = pp.perturbed.potential_f - f
-        assert pp.measured_sizes.keys() == {"F_l1", "f_w11"}
-        assert pp.measured_sizes["F_l1"] == pytest.approx(
-            norm(pp.perturbed.F - p.F, "l1"), rel=1e-12
-        )
-        assert pp.measured_sizes["f_w11"] == pytest.approx(
-            norm(diff, "l1") + norm(gradient(diff), "l1"), rel=1e-12
-        )
-
     def test_weight_sup_size_matches_amplitude(self, prob100):
         pp = make_perturbed(prob100, "a", 0.015, "constant-shift")
         assert pp.measured_sizes["a_linf"] == pytest.approx(0.015, rel=1e-12)
@@ -193,22 +149,27 @@ class TestMakePerturbed:
         dF = pp.perturbed.F - prob100.F
         curl = gradient(dF.x).y.values - gradient(dF.y).x.values
         assert np.abs(curl).max() <= 1e-11 / prob100.grid.h
-        assert pp.perturbed.potential_f is None
 
     def test_conservative_drift_perturbation_with_potential(self):
+        # a drift F = grad f moves to grad(f + df), up to roundoff, and the
+        # sizes are those of df whatever the base drift
         g = GridSpec(16)
-        f = ScalarField.from_function(g, lambda x, y: x * y)
-        p = ProblemData(
-            g,
-            a=ScalarField.full(g, 1.0),
-            F=gradient(f),
-            H=ScalarField.zeros(g),
-            potential_f=f,
-        )
+        f = ScalarField.from_function(g, lambda x, y: np.cos(x) * y)
+        p = ProblemData(g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g))
         pp = make_perturbed(p, "f", 0.05)
-        assert pp.perturbed.potential_f is not None
-        gap = norm(pp.perturbed.F - gradient(pp.perturbed.potential_f), "linf")
-        assert gap == 0.0
+        x, y = g.meshgrid()
+        df = ScalarField(g, 0.05 * np.sin(np.pi * x) * np.sin(np.pi * y))
+        moved = gradient(ScalarField(g, f.values + df.values))
+        assert norm(pp.perturbed.F - moved, "linf") <= 1e-13
+        assert pp.measured_sizes.keys() == {"F_l1", "f_w11"}
+        assert pp.measured_sizes["F_l1"] == pytest.approx(
+            norm(pp.perturbed.F - p.F, "l1"), rel=1e-12
+        )
+        assert pp.measured_sizes["f_w11"] == pytest.approx(
+            norm(df, "l1") + norm(gradient(df), "l1"), rel=1e-12
+        )
+        # zero amplitude leaves the drift as it is
+        assert norm(make_perturbed(p, "f", 0.0).perturbed.F - p.F, "linf") == 0.0
 
     def test_noise_mode_needs_seed(self, prob100):
         with pytest.raises(ValueError, match="seed"):

@@ -14,7 +14,7 @@ def manufactured(n):
     """laplacian(sin(pi x) sin(pi y)) = -2 pi^2 sin(pi x) sin(pi y)."""
     g = GridSpec(n)
     exact = ScalarField.from_function(g, lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y))
-    rhs = -2.0 * np.pi**2 * exact
+    rhs = ScalarField(g, -2.0 * np.pi**2 * exact.values)
     return g, rhs, exact
 
 
