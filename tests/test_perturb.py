@@ -118,6 +118,18 @@ class TestPerturbWeight:
             perturb_weight(a, -0.9, "constant-shift")
 
 
+class TestPerturbPotential:
+    # make_perturbed moves a drift through its potential: F + grad_h df
+    def test_zero_amplitude_identity(self):
+        g = GridSpec(16)
+        f = ScalarField.from_function(g, lambda x, y: x + y * y)
+        p = ProblemData(g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g))
+        pp = make_perturbed(p, "f", 0.0)
+        assert np.array_equal(pp.perturbed.F.x.values, p.F.x.values)
+        assert np.array_equal(pp.perturbed.F.y.values, p.F.y.values)
+        assert pp.measured_sizes["f_w11"] == 0.0
+
+
 class TestMakePerturbed:
     def test_measured_sizes_match_norms_of_the_changes(self, prob100):
         eps = 0.03
@@ -150,17 +162,15 @@ class TestMakePerturbed:
         curl = gradient(dF.x).y.values - gradient(dF.y).x.values
         assert np.abs(curl).max() <= 1e-11 / prob100.grid.h
 
-    def test_conservative_drift_perturbation_with_potential(self):
-        # a drift F = grad f moves to grad(f + df), up to roundoff, and the
-        # sizes are those of df whatever the base drift
+    def test_drift_sizes_with_stored_potential(self):
+        # the base drift is the gradient of a potential f; the sizes are
+        # those of the change df, whatever the base drift
         g = GridSpec(16)
         f = ScalarField.from_function(g, lambda x, y: np.cos(x) * y)
         p = ProblemData(g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g))
         pp = make_perturbed(p, "f", 0.05)
         x, y = g.meshgrid()
         df = ScalarField(g, 0.05 * np.sin(np.pi * x) * np.sin(np.pi * y))
-        moved = gradient(ScalarField(g, f.values + df.values))
-        assert norm(pp.perturbed.F - moved, "linf") <= 1e-13
         assert pp.measured_sizes.keys() == {"F_l1", "f_w11"}
         assert pp.measured_sizes["F_l1"] == pytest.approx(
             norm(pp.perturbed.F - p.F, "l1"), rel=1e-12
@@ -168,8 +178,17 @@ class TestMakePerturbed:
         assert pp.measured_sizes["f_w11"] == pytest.approx(
             norm(df, "l1") + norm(gradient(df), "l1"), rel=1e-12
         )
-        # zero amplitude leaves the drift as it is
-        assert norm(make_perturbed(p, "f", 0.0).perturbed.F - p.F, "linf") == 0.0
+
+    def test_conservative_drift_perturbation_with_potential(self):
+        # a drift F = grad f moves to grad(f + df), up to roundoff
+        g = GridSpec(16)
+        f = ScalarField.from_function(g, lambda x, y: x * y)
+        p = ProblemData(g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g))
+        pp = make_perturbed(p, "f", 0.05)
+        x, y = g.meshgrid()
+        df = ScalarField(g, 0.05 * np.sin(np.pi * x) * np.sin(np.pi * y))
+        moved = gradient(ScalarField(g, f.values + df.values))
+        assert norm(pp.perturbed.F - moved, "linf") <= 1e-13
 
     def test_noise_mode_needs_seed(self, prob100):
         with pytest.raises(ValueError, match="seed"):
