@@ -24,7 +24,7 @@ from .perturb import (
     perturb_weight,
 )
 from .poisson import PoissonSolver
-from .problems import ProblemData, example1
+from .problems import ProblemData, ProblemDataError, example1
 from .stability import (
     BoundCheck,
     RateFit,

@@ -33,9 +33,9 @@ from .duality import Certificate, certify
 from .fieldio import FLOAT_SPEC, FieldFormatError, fmt, read_field_meta, write_field
 from .grid import GridSpec, ScalarField, VectorField, gradient
 from .levelset import level_set_lengths
-from .perturb import NoiseScaleError, apply_table1_noise
+from .perturb import apply_table1_noise
 from .poisson import PoissonSolver
-from .problems import ProblemData, example1
+from .problems import ProblemData, ProblemDataError, example1
 from .stability import (
     REPORT_COLUMNS,
     SWEEP_COLUMNS,
@@ -68,27 +68,21 @@ def _build_problem(cfg: RunConfig) -> tuple[ProblemData, ScalarField | None]:
     A files run takes its grid from the files and records that n in cfg."""
     if cfg.problem == "example1":
         return example1(GridSpec(cfg.n)), None
-    fields = {}
-    for key, path in (("a", cfg.a_file), ("h", cfg.h_file), ("f", cfg.f_file)):
-        if path is None:
-            continue
-        fields[key], _, _ = read_field_meta(path)
-    ns = {k: f.grid.n for k, f in fields.items()}
-    if len(set(ns.values())) > 1:
-        raise UsageError(f"grid mismatch between field files: {ns}")
-    grid = fields["a"].grid
+    paths = {"a_file": cfg.a_file, "h_file": cfg.h_file, "f_file": cfg.f_file}
+    a, h, potential = (
+        None if path is None else read_field_meta(path)[0] for path in paths.values()
+    )
+    grid = a.grid
+    drift = VectorField.zeros(grid) if potential is None else gradient(potential)
+    try:
+        p = ProblemData(grid, a=a, F=drift, H=h, name="files")
+    except ProblemDataError as exc:
+        named = ", ".join(f"{key} {path}" for key, path in paths.items() if path is not None)
+        raise UsageError(f"{exc} (field files: {named})") from None
     if cfg.n is None:
         cfg.n = grid.n
     elif cfg.n != grid.n:
         raise UsageError(f"key 'n' = {cfg.n} does not match the field files' n={grid.n}")
-    potential = fields.get("f")
-    drift = VectorField.zeros(grid) if potential is None else gradient(potential)
-    p = ProblemData(grid, a=fields["a"], F=drift, H=fields["h"], name="files")
-    if p.m <= 0.0:
-        raise UsageError(
-            f"a_file {cfg.a_file}: the weight must be positive at every node, "
-            f"but its minimum is {p.m:g}"
-        )
     return p, potential
 
 
@@ -116,7 +110,7 @@ def _nonconvergence_status(failed: bool, message: str, strict: bool) -> int:
 def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
     p, potential = _build_problem(cfg)
     exact = p.exact_u
-    if cfg.delta > 0:
+    if cfg.delta != 0:
         p = apply_table1_noise(p, cfg.delta, cfg.seeds[0])
         potential = None  # the noise moves F, so f is no longer its potential
     res = solve(p, replace(cfg.solver, record_history=True), PoissonSolver(p.grid))
@@ -359,7 +353,7 @@ def main(argv=None) -> int:
         out.mkdir(parents=True, exist_ok=True)
         strict = [args.strict] if "strict" in args else []
         return _COMMANDS[args.command](cfg, out, *strict)
-    except (UsageError, FieldFormatError, NoiseScaleError, BaseNotConvergedError) as exc:
+    except (UsageError, FieldFormatError, ProblemDataError, BaseNotConvergedError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BaseNotConvergedError) else 1
 

@@ -3,10 +3,11 @@
 Every numeric default mirrors the reference experiments (n=100, lambda=1,
 tol=1e-7), read from the library type that uses it where one does; a
 ``problem = files`` run takes n from its field files instead.  Keys are
-range-checked before any compute happens, mostly by building those types;
-unknown or out-of-place keys are rejected with a message naming the key; and
-the fully resolved configuration can be rendered as stable comment lines so
-every output CSV embeds the settings that produced it.
+range-checked before any compute happens, mostly by building those types
+(noise levels by the noise model; ``plotdata``, which reads no key, skips
+these checks); unknown or out-of-place keys are rejected with a message
+naming the key; and the fully resolved configuration can be rendered as
+stable comment lines so every output CSV embeds the settings that produced it.
 """
 
 from __future__ import annotations
@@ -133,7 +134,8 @@ def build_config(raw: dict[str, str], command: str) -> RunConfig:
         attr = _FIELDS[key]
         setattr(cfg, attr, _parse(key, value, _TYPES[attr]))
 
-    _range_checks(cfg, command)
+    if command != "plotdata":  # plotdata reads no key
+        _range_checks(cfg, command)
     return cfg
 
 
@@ -154,12 +156,10 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
         cfg.sweep  # builds cfg.solver first
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    if cfg.delta < 0:
-        raise UsageError("key 'delta' must be nonnegative")
-    if any(d < 0 for d in cfg.deltas):
-        raise UsageError("key 'deltas' must be nonnegative")
     if any(s < 0 for s in cfg.seeds):
         raise UsageError("key 'seeds' must be nonnegative integers")
+    if len(set(cfg.deltas)) < len(cfg.deltas):
+        raise UsageError("key 'deltas' must be distinct")
     if command == "table1" and cfg.problem != "example1":
         raise UsageError("table1 runs on the built-in example1 instance only")
     if cfg.problem == "files":

@@ -12,20 +12,20 @@ gradient of df = epsilon sin(pi x) sin(pi y).  ``make_perturbed`` measures
 each change as it applies it, in the norms the stability estimates are
 stated in: |a - a~|_inf, |H - H~|_inf, |F - F~|_L1 and |f - f~|_W11.
 Everything is deterministic given the inputs, the seed and the amplitude.
+A bad noise level, noise on a zero field and an instance that breaks a
+rule of ``ProblemData`` (say, a weight no longer positive) raise ProblemDataError.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, gradient, norm
-from .problems import ProblemData
+from .problems import ProblemData, ProblemDataError
 
 __all__ = [
-    "NoiseScaleError",
     "PerturbedProblem",
     "noise_scalar",
     "noise_vector",
@@ -60,17 +60,13 @@ def check_param_mode(param: str, mode: str) -> None:
         )
 
 
-class NoiseScaleError(ValueError):
-    """Relative noise was requested on a field that is zero everywhere."""
-
-
 def _noised(values: np.ndarray, delta: float, seed: int) -> np.ndarray:
     """values + gamma R with gamma = delta |values|_F / |R|_F."""
     if not (np.isfinite(delta) and delta >= 0):
-        raise ValueError("noise level must be nonnegative and finite")
+        raise ProblemDataError(f"noise level must be nonnegative and finite, got {delta:g}")
     size = np.sqrt((values * values).sum())
     if size == 0.0:
-        raise NoiseScaleError("noise scale undefined for a zero field")
+        raise ProblemDataError("noise scale undefined for a zero field")
     r = np.random.default_rng(seed).standard_normal(values.shape)
     gamma = delta * size / np.sqrt((r * r).sum())
     return values + gamma * r
@@ -104,10 +100,7 @@ def perturb_weight(a: ScalarField, epsilon: float, mode: str = "constant-shift")
     when n is even.  Works on any scalar field (also used for the forcing).
     """
     if mode == "constant-shift":
-        out = a.values + epsilon
-        if epsilon < 0 and out.min() < 0.5 * a.values.min():
-            warnings.warn("constant shift pushed the weight below half its minimum")
-        return ScalarField(a.grid, out)
+        return ScalarField(a.grid, a.values + epsilon)
     if mode == "smooth-bump":
         return ScalarField(a.grid, a.values + epsilon * _bump(a.grid))
     raise ValueError(f"unknown perturbation mode {mode!r}")
@@ -135,7 +128,7 @@ def make_perturbed(
     requested mode, the drift always by F + grad df, a discrete gradient and
     so curl-free).  mode="noise" draws stochastic perturbations for a or H at
     level epsilon and needs a seed.  The base instance's exact solution is
-    carried over for error reporting.
+    carried over for error reporting, and its name records eps and the seed.
     """
     check_param_mode(param, mode)
     if mode == "noise" and seed is None:
@@ -162,9 +155,9 @@ def make_perturbed(
         sizes["F_l1"] = norm(base.F - F, "l1")
         sizes["f_w11"] = norm(df, "l1") + norm(dF, "l1")
 
-    perturbed = ProblemData(
-        base.grid, a=a, F=F, H=H, exact_u=base.exact_u, name=f"{base.name}+{param}"
-    )
+    tag = "" if seed is None else f", seed = {seed}"
+    name = f"{base.name}+{param} at eps = {epsilon:g}{tag}"
+    perturbed = ProblemData(base.grid, a=a, F=F, H=H, exact_u=base.exact_u, name=name)
     return PerturbedProblem(perturbed=perturbed, measured_sizes=sizes)
 
 

@@ -6,6 +6,10 @@ on the boundary is
 
     E(w) = integral( a |grad w + F| + H w ).
 
+``ProblemData`` checks every instance, however built: one grid, a weight
+positive at every node (the stability estimates assume a >= m > 0) and an
+exact solution vanishing on the boundary; a breach raises ProblemDataError.
+
 ``example1`` builds the benchmark instance with the closed-form minimizer
 u(x, y) = x y (1-x) (1-y).
 """
@@ -18,14 +22,18 @@ import numpy as np
 
 from .grid import GridSpec, ScalarField, VectorField, gradient
 
-__all__ = ["ProblemData", "example1"]
+__all__ = ["ProblemData", "ProblemDataError", "example1"]
+
+
+class ProblemDataError(ValueError):
+    """Data that cannot make a valid instance."""
 
 
 @dataclass(frozen=True, eq=False)
 class ProblemData:
     """One instance (a, F, H) plus an optional exact solution.
 
-    m and M are the measured bounds of the weight (min/max over all nodes).
+    m > 0 and M are the measured bounds of the weight (min/max over all nodes).
     When ``exact_u`` is present it must vanish on the boundary.
     """
 
@@ -39,14 +47,19 @@ class ProblemData:
     M: float = field(init=False)
 
     def __post_init__(self):
-        for f_ in (self.a, self.F, self.H, self.exact_u):
-            if f_ is not None and f_.grid != self.grid:
-                raise ValueError("problem fields live on different grids")
+        named = {"a": self.a, "F": self.F, "H": self.H, "exact_u": self.exact_u}
+        ns = {k: f_.grid.n for k, f_ in named.items() if f_ is not None}
+        if set(ns.values()) != {self.grid.n}:
+            grids = f"n={self.grid.n}, field grids {ns}"
+            raise ProblemDataError(f"grid mismatch in {self.name}: {grids}")
         object.__setattr__(self, "m", float(self.a.values.min()))
         object.__setattr__(self, "M", float(self.a.values.max()))
+        if self.m <= 0.0:
+            rule = f"the weight must be positive at every node, but its minimum is {self.m:g}"
+            raise ProblemDataError(f"{self.name}: {rule}")
         if self.exact_u is not None:
             if np.abs(self.exact_u.boundary_values()).max() != 0.0:
-                raise ValueError("exact solution must vanish on the boundary")
+                raise ProblemDataError("exact solution must vanish on the boundary")
 
 
 def example1(grid: GridSpec) -> ProblemData:

@@ -105,6 +105,8 @@ class SweepSpec:
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         if self.mode == "noise" and not self.seeds:
             raise ValueError("stochastic sweeps need at least one seed")
+        if len(set(self.seeds)) < len(self.seeds):
+            raise ValueError("seeds must be distinct")
 
 
 @dataclass(frozen=True)
@@ -377,35 +379,33 @@ def table1_experiment(
 
     Runs the benchmark instance at resolution n (n=100 is the replication
     setting) for every (delta, seed) pair; each row is replayable from its
-    recorded seed through :func:`gradflux.perturb.apply_table1_noise`.
+    recorded seed through :func:`gradflux.perturb.apply_table1_noise`.  All
+    noised instances are built before the first solve.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     grid = GridSpec(n)
     p = example1(grid)
+    deltas = tuple(float(d) for d in deltas)
+    instances = [(d, s, apply_table1_noise(p, d, s)) for d in deltas for s in seeds]
     poisson = PoissonSolver(grid)
-    exact = p.exact_u
-    exact_norm = norm(exact, "l2")
+    exact_norm = norm(p.exact_u, "l2")
     rows: list[Table1Row] = []
-    for delta in deltas:
-        for seed in seeds:
-            noisy = apply_table1_noise(p, float(delta), seed)
-            res = solve(noisy, cfg, poisson)
-            diff = res.state.u - exact
-            rows.append(
-                Table1Row(
-                    delta=float(delta),
-                    seed=seed,
-                    rel_l2=norm(diff, "l2") / exact_norm,
-                    iters=res.iterations,
-                    max_err=norm(diff, "linf"),
-                    converged=res.converged,
-                )
+    for delta, seed, noisy in instances:
+        res = solve(noisy, cfg, poisson)
+        diff = res.state.u - p.exact_u
+        rows.append(
+            Table1Row(
+                delta=delta,
+                seed=seed,
+                rel_l2=norm(diff, "l2") / exact_norm,
+                iters=res.iterations,
+                max_err=norm(diff, "linf"),
+                converged=res.converged,
             )
-    by_delta: dict[float, list[Table1Row]] = {}
-    for r in rows:
-        by_delta.setdefault(r.delta, []).append(r)
+        )
+    by_delta = {d: [r for r in rows if r.delta == d] for d in deltas}
     mean_rel = {d: float(np.mean([r.rel_l2 for r in g])) for d, g in by_delta.items()}
     mean_iters = {d: float(np.mean([r.iters for r in g])) for d, g in by_delta.items()}
     max_err = {d: float(max(r.max_err for r in g)) for d, g in by_delta.items()}

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradflux.cli
 import gradflux.stability
 from gradflux import GridSpec, ScalarField, SolverConfig, SweepSpec, example1
 from gradflux.cli import main
@@ -226,6 +227,17 @@ class TestCertifyCommand:
         assert main(["certify", "--config", ccfg, "--out", str(tmp_path / "o")]) == 1
         assert f"gradflux: {upath}:4: non-finite value nan" in capsys.readouterr().err
 
+    def test_u_file_must_vanish_on_the_boundary(self, tmp_path, capsys):
+        upath = tmp_path / "u.field"
+        write_field(ScalarField.full(GridSpec(8), 1.0), upath)
+        ccfg = write_cfg(tmp_path / "cert.cfg", problem="example1", n=8, u_file=str(upath))
+        out = tmp_path / "o"
+        assert main(["certify", "--config", ccfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "gradflux: solution in u_file must vanish on the boundary\n"
+        )
+        assert not (out / "certificate.txt").exists()
+
     def test_missing_u_file_key(self, tmp_path, capsys):
         ccfg = write_cfg(tmp_path / "cert.cfg", problem="example1", n=32)
         assert main(["certify", "--config", ccfg, "--out", str(tmp_path / "o")]) == 1
@@ -249,10 +261,9 @@ class TestUndecodableInput:
         assert not out.exists()
 
 
-def write_constant_files(tmp_path, n):
-    g = GridSpec(n)
-    write_field(ScalarField.full(g, 1.0), tmp_path / "a.field", kind="a")
-    write_field(ScalarField.full(g, 0.5), tmp_path / "h.field", kind="h")
+def write_constant_files(tmp_path, n, a=1.0, h=0.5, h_n=None):
+    write_field(ScalarField.full(GridSpec(n), a), tmp_path / "a.field", kind="a")
+    write_field(ScalarField.full(GridSpec(h_n or n), h), tmp_path / "h.field", kind="h")
     return dict(problem="files", a_file=tmp_path / "a.field", h_file=tmp_path / "h.field")
 
 
@@ -525,10 +536,58 @@ class TestPlotdataCommand:
             lines.append("")
         assert (plots / "surface_solution.dat").read_text() == "\n".join(lines) + "\n"
 
+    def test_keys_it_does_not_read_are_not_range_checked(self, tmp_path):
+        # 'problem = files' without its field files would fail every other command
+        out = tmp_path / "run"
+        out.mkdir()
+        write_field(example1(GridSpec(4)).exact_u, out / "solution.field")
+        cfg = write_cfg(tmp_path / "plot.cfg", problem="files")
+        assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 0
+        assert (out / "plots" / "surface_solution.dat").exists()
+
     def test_empty_dir_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "solve.cfg", **SOLVE_KEYS)
         assert main(["plotdata", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
         assert "nothing to plot" in capsys.readouterr().err
+
+
+NOISE_SWEEP = dict(problem="example1", param="a", mode="noise")
+
+
+@pytest.mark.parametrize("command, keys, message", [
+    ("sweep", lambda t: dict(param="H", mode="noise", seeds=0, **write_constant_files(t, 8, h=0)),
+     "noise scale undefined for a zero field"),
+    ("solve", lambda t: write_constant_files(t, 8, a=-1),
+     "files: the weight must be positive at every node, but its minimum is -1 "
+     "(field files: a_file"),
+    ("solve", lambda t: write_constant_files(t, 8, h_n=9), "grid mismatch"),
+    ("sweep", lambda t: dict(NOISE_SWEEP, n=16, seeds=0, epsilons="0.4, 0.2"),
+     "example1+a at eps = 0.4, seed = 0: the weight must be positive at every node, "
+     "but its minimum is -0.467388"),
+    ("table1", lambda t: dict(n=16, deltas=0.5, seeds=0),
+     "example1+noise: the weight must be positive at every node, but its minimum is -1.03287"),
+    ("solve", lambda t: dict(problem="example1", n=8, delta=-0.01, seeds=0),
+     "noise level must be nonnegative and finite, got -0.01"),
+    ("table1", lambda t: dict(n=8, deltas="0.01, -0.01", seeds=0),
+     "noise level must be nonnegative and finite, got -0.01"),
+    ("sweep", lambda t: dict(NOISE_SWEEP, n=8, seeds="1, 1"), "seeds must be distinct"),
+    ("table1", lambda t: dict(n=8, deltas=0.01, seeds="0, 0"), "seeds must be distinct"),
+    ("table1", lambda t: dict(n=8, deltas="0.01, 0.01"), "key 'deltas' must be distinct"),
+], ids=["zero-field-noise", "nonpositive-a-file", "mismatched-grids", "sweep-weight-below-0",
+        "table1-weight-below-0", "negative-delta", "negative-deltas", "repeated-sweep-seeds",
+        "repeated-table1-seeds", "repeated-deltas"])
+def test_bad_data_exits_1_before_any_solve(command, keys, message, tmp_path, capsys, monkeypatch):
+    def no_solve(*args, **kwargs):
+        pytest.fail(f"{command} solved before rejecting its data")
+
+    monkeypatch.setattr(gradflux.cli, "solve", no_solve)
+    monkeypatch.setattr(gradflux.stability, "solve", no_solve)
+    cfg = write_cfg(tmp_path / "c.cfg", **keys(tmp_path))
+    out = tmp_path / "o"
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("gradflux: ") and message in err
+    assert not list(out.glob("*.csv"))
 
 
 class TestDeterminism:

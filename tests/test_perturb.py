@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 from gradflux import (
     GridSpec,
     ProblemData,
+    ProblemDataError,
     ScalarField,
+    example1,
     gradient,
     make_perturbed,
     noise_scalar,
@@ -51,20 +53,20 @@ class TestNoiseScalar:
 
     def test_zero_field_with_noise_is_error(self):
         g = GridSpec(8)
-        with pytest.raises(ValueError, match="noise scale undefined"):
+        with pytest.raises(ProblemDataError, match="noise scale undefined"):
             noise_scalar(ScalarField.zeros(g), 0.1, 0)
 
     def test_negative_level_rejected(self, prob100):
-        with pytest.raises(ValueError, match="noise level must be nonnegative"):
+        with pytest.raises(ProblemDataError, match="noise level must be nonnegative"):
             noise_scalar(prob100.a, -0.1, 0)
 
     @pytest.mark.parametrize("delta", [np.nan, np.inf])
     def test_non_finite_level_rejected(self, prob100, delta):
-        with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+        with pytest.raises(ProblemDataError, match="noise level must be nonnegative and finite"):
             noise_scalar(prob100.a, delta, 0)
-        with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+        with pytest.raises(ProblemDataError, match="noise level must be nonnegative and finite"):
             noise_vector(prob100.F, delta, 0)
-        with pytest.raises(ValueError, match="noise level must be nonnegative and finite"):
+        with pytest.raises(ProblemDataError, match="noise level must be nonnegative and finite"):
             make_perturbed(prob100, "a", delta, "noise", seed=0)
 
 
@@ -110,12 +112,6 @@ class TestPerturbWeight:
     def test_unknown_mode_rejected(self, prob100):
         with pytest.raises(ValueError):
             perturb_weight(prob100.a, 0.01, "multiplicative")
-
-    def test_negative_shift_near_zero_warns(self):
-        g = GridSpec(8)
-        a = ScalarField.full(g, 1.0)
-        with pytest.warns(UserWarning, match="below half"):
-            perturb_weight(a, -0.9, "constant-shift")
 
 
 class TestPerturbPotential:
@@ -190,6 +186,16 @@ class TestMakePerturbed:
         moved = gradient(ScalarField(g, f.values + df.values))
         assert norm(pp.perturbed.F - moved, "linf") <= 1e-13
 
+    def test_weight_no_longer_positive_rejected(self):
+        # example1's weight has its minimum 1 at the origin
+        p = example1(GridSpec(16))
+        with pytest.raises(ProblemDataError, match=r"^example1\+a at eps = -1: .* minimum is 0$"):
+            make_perturbed(p, "a", -1.0, "constant-shift")
+        with pytest.raises(
+            ProblemDataError, match=r"^example1\+a at eps = 0.4, seed = 0: .* minimum is -0.467388$"
+        ):
+            make_perturbed(p, "a", 0.4, "noise", seed=0)
+
     def test_noise_mode_needs_seed(self, prob100):
         with pytest.raises(ValueError, match="seed"):
             make_perturbed(prob100, "a", 0.01, "noise")
@@ -214,6 +220,14 @@ class TestTable1Noise:
         assert np.array_equal(a.a.values, b.a.values)
         assert np.array_equal(a.H.values, b.H.values)
         assert np.array_equal(a.F.x.values, b.F.x.values)
+
+    def test_noised_weight_below_zero_rejected(self):
+        with pytest.raises(ProblemDataError) as info:
+            apply_table1_noise(example1(GridSpec(16)), 0.5, seed=0)
+        assert str(info.value) == (
+            "example1+noise: the weight must be positive at every node, "
+            "but its minimum is -1.03287"
+        )
 
     def test_fields_use_independent_streams(self, prob100):
         noisy = apply_table1_noise(prob100, 0.05, seed=0)

@@ -4,6 +4,7 @@ import pytest
 from gradflux import (
     GridSpec,
     ProblemData,
+    ProblemDataError,
     ScalarField,
     VectorField,
     example1,
@@ -79,3 +80,31 @@ class TestProblemData:
                 F=VectorField.zeros(GridSpec(8)),
                 H=ScalarField.zeros(GridSpec(9)),
             )
+
+    def test_grid_mismatch_names_each_fields_n(self):
+        g, g9 = GridSpec(8), GridSpec(9)
+        with pytest.raises(ProblemDataError) as info:
+            ProblemData(
+                g,
+                a=ScalarField.full(g9, 1.0),
+                F=VectorField.zeros(g),
+                H=ScalarField.zeros(g),
+                exact_u=ScalarField.zeros(g9),
+                name="mixed",
+            )
+        assert str(info.value) == (
+            "grid mismatch in mixed: n=8, field grids {'a': 9, 'F': 8, 'H': 8, 'exact_u': 9}"
+        )
+
+    @pytest.mark.parametrize("bad", [-0.25, 0.0])
+    def test_weight_must_be_positive_at_every_node(self, bad):
+        g = GridSpec(8)
+        a = np.ones(g.shape)
+        a[2, 5] = bad
+        with pytest.raises(ProblemDataError) as info:
+            ProblemData(
+                g, a=ScalarField(g, a), F=VectorField.zeros(g), H=ScalarField.zeros(g), name="w"
+            )
+        assert str(info.value) == (
+            f"w: the weight must be positive at every node, but its minimum is {bad:g}"
+        )

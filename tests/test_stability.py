@@ -3,9 +3,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gradflux.stability
 from gradflux import (
     GridSpec,
     PoissonSolver,
+    ProblemDataError,
     ScalarField,
     SolverConfig,
     SweepSpec,
@@ -88,6 +90,10 @@ class TestSweepSpec:
     def test_noise_mode_needs_seeds(self):
         with pytest.raises(ValueError, match="seed"):
             SweepSpec(param="a", epsilons=(0.1,), mode="noise")
+
+    def test_repeated_seeds_rejected(self):
+        with pytest.raises(ValueError, match="seeds must be distinct"):
+            SweepSpec(param="a", epsilons=(0.1,), mode="noise", seeds=(1, 1))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_epsilons_rejected(self, bad):
@@ -239,3 +245,12 @@ class TestTable1Small:
     def test_needs_seeds(self):
         with pytest.raises(ValueError, match="seed"):
             table1_experiment(SolverConfig(), seeds=(), n=16)
+
+    def test_bad_instance_rejected_before_first_solve(self, monkeypatch):
+        # delta = 0.5 pushes the n=16 weight below zero; delta = 0.01 comes first
+        def no_solve(*args, **kwargs):
+            pytest.fail("table1 solved before building every noised instance")
+
+        monkeypatch.setattr(gradflux.stability, "solve", no_solve)
+        with pytest.raises(ProblemDataError, match="minimum is -1.03287"):
+            table1_experiment(SolverConfig(), seeds=(0,), n=16, deltas=(0.01, 0.5))
