@@ -16,6 +16,10 @@ Every CSV embeds the fully resolved configuration as '#' comment lines, so
 any run can be replayed from its own output.  Two invocations with the same
 configuration produce byte-identical files; nothing time- or path-dependent
 is written.
+
+``_build_problem`` reads and checks every field file a command names.  Each
+command computes before it writes, and its first write creates --out, so a
+refused run leaves no output directory behind.
 """
 
 from __future__ import annotations
@@ -54,6 +58,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_csv(path: Path, comments, columns, rows) -> None:
+    """Each command writes a CSV first: that write makes the output directory."""
+    path.parent.mkdir(parents=True, exist_ok=True)
     lines = [f"# {c}" for c in comments]
     lines.append(",".join(columns))
     for row in rows:
@@ -61,42 +67,40 @@ def _write_csv(path: Path, comments, columns, rows) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _build_problem(cfg: RunConfig) -> tuple[ProblemData, ScalarField | None]:
-    """The instance (a, F, H) and, if an f_file gives it, the potential f of
-    F = grad f, which ``solve`` writes back and ``contour`` adds to u.
+def _build_problem(cfg: RunConfig) -> tuple[ProblemData, ScalarField | None, ScalarField | None]:
+    """The instance (a, F, H); the potential f of F = grad f, if an f_file
+    gives it, which ``solve`` writes back and ``contour`` adds to u; and the
+    u_file's field, if the command names one, checked against the instance.
 
     A files run takes its grid from the files and records that n in cfg."""
+    potential = None
     if cfg.problem == "example1":
-        return example1(GridSpec(cfg.n)), None
-    paths = {"a_file": cfg.a_file, "h_file": cfg.h_file, "f_file": cfg.f_file}
-    a, h, potential = (
-        None if path is None else read_field_meta(path)[0] for path in paths.values()
-    )
-    grid = a.grid
-    drift = VectorField.zeros(grid) if potential is None else gradient(potential)
-    try:
-        p = ProblemData(grid, a=a, F=drift, H=h, name="files")
-    except ProblemDataError as exc:
-        named = ", ".join(f"{key} {path}" for key, path in paths.items() if path is not None)
-        raise UsageError(f"{exc} (field files: {named})") from None
-    if cfg.n is None:
-        cfg.n = grid.n
-    elif cfg.n != grid.n:
-        raise UsageError(f"key 'n' = {cfg.n} does not match the field files' n={grid.n}")
-    return p, potential
-
-
-def _read_u_file(cfg: RunConfig, grid: GridSpec) -> ScalarField:
-    u, _, _ = read_field_meta(cfg.u_file)
-    if u.grid != grid:
-        raise UsageError(f"grid mismatch: u_file has n={u.grid.n}, problem has n={grid.n}")
-    return u
+        p = example1(GridSpec(cfg.n))
+    else:
+        paths = {"a_file": cfg.a_file, "h_file": cfg.h_file, "f_file": cfg.f_file}
+        a, h, potential = (
+            None if path is None else read_field_meta(path)[0] for path in paths.values()
+        )
+        drift = VectorField.zeros(a.grid) if potential is None else gradient(potential)
+        try:
+            p = ProblemData(a.grid, a=a, F=drift, H=h, name="files")
+        except ProblemDataError as exc:
+            named = ", ".join(f"{key} {path}" for key, path in paths.items() if path is not None)
+            raise UsageError(f"{exc} (field files: {named})") from None
+        if cfg.n is None:
+            cfg.n = a.grid.n
+        elif cfg.n != a.grid.n:
+            raise UsageError(f"key 'n' = {cfg.n} does not match the field files' n={a.grid.n}")
+    u = None if cfg.u_file is None else read_field_meta(cfg.u_file)[0]
+    if u is not None and u.grid != p.grid:
+        raise UsageError(f"grid mismatch: u_file has n={u.grid.n}, problem has n={p.grid.n}")
+    return p, potential, u
 
 
 def _write_certificate(out: Path, cert: Certificate, comments) -> None:
-    (out / "certificate.txt").write_text(cert.as_text(), encoding="utf-8")
     d = cert.as_dict()
     _write_csv(out / "certificate.csv", comments, tuple(d), [tuple(d.values())])
+    (out / "certificate.txt").write_text(cert.as_text(), encoding="utf-8")
 
 
 def _nonconvergence_status(failed: bool, message: str, strict: bool) -> int:
@@ -108,14 +112,14 @@ def _nonconvergence_status(failed: bool, message: str, strict: bool) -> int:
 
 
 def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
-    p, potential = _build_problem(cfg)
+    p, potential, _ = _build_problem(cfg)
     exact = p.exact_u
     if cfg.delta != 0:
         p = apply_table1_noise(p, cfg.delta, cfg.seeds[0])
         potential = None  # the noise moves F, so f is no longer its potential
     res = solve(p, replace(cfg.solver, record_history=True), PoissonSolver(p.grid))
     comments = resolved_lines(cfg, "solve")
-
+    _write_csv(out / "history.csv", comments, ("k", "rel_change", "energy"), res.history or [])
     write_field(res.state.u, out / "solution.field", kind="u", problem=p.name)
     write_field(p.a, out / "a.field", kind="a", problem=p.name)
     write_field(p.H, out / "h.field", kind="h", problem=p.name)
@@ -123,12 +127,6 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
         write_field(potential, out / "f.field", kind="f", problem=p.name)
     if exact is not None:
         write_field(exact, out / "u_exact.field", kind="u_exact", problem=p.name)
-    _write_csv(
-        out / "history.csv",
-        comments,
-        ("k", "rel_change", "energy"),
-        res.history or [],
-    )
     _write_certificate(out, certify(res.state.u, p, cfg.eta), comments)
 
     return _nonconvergence_status(
@@ -139,10 +137,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def _cmd_certify(cfg: RunConfig, out: Path) -> int:
-    if cfg.u_file is None:
-        raise UsageError("certify needs key 'u_file' (the solution field to check)")
-    p, _ = _build_problem(cfg)
-    u = _read_u_file(cfg, p.grid)
+    p, _, u = _build_problem(cfg)
     if np.abs(u.boundary_values()).max() != 0.0:
         raise UsageError("solution in u_file must vanish on the boundary")
     _write_certificate(out, certify(u, p, cfg.eta), resolved_lines(cfg, "certify"))
@@ -221,13 +216,8 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 def _contour_field(cfg: RunConfig) -> ScalarField:
     """v = u + f, the field whose level sets ``contour`` measures."""
-    p, potential = _build_problem(cfg)
-    if cfg.u_file is not None:
-        u = _read_u_file(cfg, p.grid)
-    elif p.exact_u is not None:
-        u = p.exact_u
-    else:
-        raise UsageError("contour needs 'u_file' or a problem with a known solution")
+    p, potential, u = _build_problem(cfg)
+    u = p.exact_u if u is None else u
     return u if potential is None else u + potential
 
 
@@ -264,11 +254,13 @@ def _write_surface(path: Path, field: ScalarField) -> None:
 
 
 def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
+    history, solution = out / "history.csv", out / "solution.field"
+    if not (history.exists() or solution.exists()):
+        raise UsageError(f"nothing to plot: no history.csv or solution.field found in {out}")
     plots = out / "plots"
-    plots.mkdir(parents=True, exist_ok=True)
+    plots.mkdir(exist_ok=True)
     produced = []
 
-    history = out / "history.csv"
     if history.exists():
         rows = _read_history_csv(history)
         (plots / "convergence.dat").write_text(
@@ -279,7 +271,6 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
         )
         produced += ["convergence.dat", "energy.dat"]
 
-    solution = out / "solution.field"
     exact_path = out / "u_exact.field"
     if solution.exists():
         u, _, _ = read_field_meta(solution)
@@ -291,11 +282,6 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
                 _write_surface(plots / "surface_exact.dat", ue)
                 _write_surface(plots / "surface_error.dat", u - ue)
                 produced += ["surface_exact.dat", "surface_error.dat"]
-
-    if not produced:
-        raise UsageError(
-            f"nothing to plot: no history.csv or solution.field found in {out}"
-        )
 
     script = ["# generated by gradflux plotdata; run with: gnuplot plot.gp"]
     if "convergence.dat" in produced:
@@ -350,7 +336,9 @@ def main(argv=None) -> int:
         raw = parse_config_file(args.config)
         cfg = build_config(raw, args.command)
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        nearest = next(d for d in (out, *out.parents) if d.exists())
+        if not nearest.is_dir():
+            raise UsageError(f"--out {out}: {nearest} exists and is not a directory")
         strict = [args.strict] if "strict" in args else []
         return _COMMANDS[args.command](cfg, out, *strict)
     except (UsageError, FieldFormatError, ProblemDataError, BaseNotConvergedError) as exc:

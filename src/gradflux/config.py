@@ -5,9 +5,11 @@ tol=1e-7), read from the library type that uses it where one does; a
 ``problem = files`` run takes n from its field files instead.  Keys are
 range-checked before any compute happens, mostly by building those types
 (noise levels by the noise model; ``plotdata``, which reads no key, skips
-these checks); unknown or out-of-place keys are rejected with a message
-naming the key; and the fully resolved configuration can be rendered as
-stable comment lines so every output CSV embeds the settings that produced it.
+these checks), and a command that needs a key it was not given (``certify``
+or a files ``contour`` without ``u_file``) is refused here; unknown or
+out-of-place keys are rejected with a message naming the key; and the fully
+resolved configuration can be rendered as stable comment lines so every
+output CSV embeds the settings that produced it.
 """
 
 from __future__ import annotations
@@ -162,6 +164,10 @@ def _range_checks(cfg: RunConfig, command: str) -> None:
         raise UsageError("key 'deltas' must be distinct")
     if command == "table1" and cfg.problem != "example1":
         raise UsageError("table1 runs on the built-in example1 instance only")
+    if command == "certify" and cfg.u_file is None:
+        raise UsageError("certify needs key 'u_file' (the solution field to check)")
+    if command == "contour" and cfg.problem == "files" and cfg.u_file is None:
+        raise UsageError("contour needs 'u_file' or a problem with a known solution")
     if cfg.problem == "files":
         if cfg.a_file is None or cfg.h_file is None:
             raise UsageError("problem = files needs at least a_file and h_file")

@@ -127,8 +127,8 @@ def make_perturbed(
     potential f, the forcing H, or all three combined (a and H via the
     requested mode, the drift always by F + grad df, a discrete gradient and
     so curl-free).  mode="noise" draws stochastic perturbations for a or H at
-    level epsilon and needs a seed.  The base instance's exact solution is
-    carried over for error reporting, and its name records eps and the seed.
+    level epsilon and needs a seed.  The name records eps and the seed; the
+    perturbed instance has no known exact solution.
     """
     check_param_mode(param, mode)
     if mode == "noise" and seed is None:
@@ -157,7 +157,7 @@ def make_perturbed(
 
     tag = "" if seed is None else f", seed = {seed}"
     name = f"{base.name}+{param} at eps = {epsilon:g}{tag}"
-    perturbed = ProblemData(base.grid, a=a, F=F, H=H, exact_u=base.exact_u, name=name)
+    perturbed = ProblemData(base.grid, a=a, F=F, H=H, name=name)
     return PerturbedProblem(perturbed=perturbed, measured_sizes=sizes)
 
 
@@ -165,11 +165,10 @@ def apply_table1_noise(p: ProblemData, delta: float, seed: int) -> ProblemData:
     """Noise all three data fields the way the replication experiment does.
 
     One run seed drives three derived generator seeds (3s, 3s+1, 3s+2) for
-    H, a and F, so every row is replayable from its recorded seed.
+    H, a and F, so every row is replayable from its recorded seed.  The
+    noised instance has no known exact solution.
     """
     H = noise_scalar(p.H, delta, 3 * seed)
     a = noise_scalar(p.a, delta, 3 * seed + 1)
     F = noise_vector(p.F, delta, 3 * seed + 2)
-    return ProblemData(
-        p.grid, a=a, F=F, H=H, exact_u=p.exact_u, name=f"{p.name}+noise"
-    )
+    return ProblemData(p.grid, a=a, F=F, H=H, name=f"{p.name}+noise")

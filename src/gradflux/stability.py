@@ -29,7 +29,7 @@ from .duality import ETA, check_eta, flux
 from .grid import GridSpec, gradient, interior_l1, norm
 from .perturb import PerturbedProblem, apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
-from .problems import ProblemData, example1
+from .problems import ProblemData, ProblemDataError, example1
 
 __all__ = [
     "BaseNotConvergedError",
@@ -388,7 +388,13 @@ def table1_experiment(
     grid = GridSpec(n)
     p = example1(grid)
     deltas = tuple(float(d) for d in deltas)
-    instances = [(d, s, apply_table1_noise(p, d, s)) for d in deltas for s in seeds]
+    instances = []
+    for d in deltas:
+        for s in seeds:
+            try:
+                instances.append((d, s, apply_table1_noise(p, d, s)))
+            except ProblemDataError as exc:  # the instance name does not say which run
+                raise ProblemDataError(f"{exc} (delta = {d:g}, seed = {s})") from None
     poisson = PoissonSolver(grid)
     exact_norm = norm(p.exact_u, "l2")
     rows: list[Table1Row] = []

@@ -459,10 +459,12 @@ class TestSweepCommand:
             seeds="0, 1",
             max_iter=300,
         )
-        argv = ["sweep", "--config", cfg, "--out", str(tmp_path / "o")]
+        out = tmp_path / "o"
+        argv = ["sweep", "--config", cfg, "--out", str(out)]
         assert main(argv + ["--strict"] * strict) == 2
         err = capsys.readouterr().err
         assert err == "gradflux: base solve did not converge; cannot anchor the sweep\n"
+        assert not out.exists()
 
 
 class TestTable1Command:
@@ -547,11 +549,19 @@ class TestPlotdataCommand:
 
     def test_empty_dir_is_usage_error(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path / "solve.cfg", **SOLVE_KEYS)
-        assert main(["plotdata", "--config", cfg, "--out", str(tmp_path / "x")]) == 1
+        out = tmp_path / "x"
+        out.mkdir()
+        assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 1
         assert "nothing to plot" in capsys.readouterr().err
+        assert not list(out.iterdir())  # no plots/ left behind
 
 
 NOISE_SWEEP = dict(problem="example1", param="a", mode="noise")
+
+
+def write_u(tmp_path, n, value=0.0):
+    write_field(ScalarField.full(GridSpec(n), value), tmp_path / "u.field")
+    return tmp_path / "u.field"
 
 
 @pytest.mark.parametrize("command, keys, message", [
@@ -564,8 +574,9 @@ NOISE_SWEEP = dict(problem="example1", param="a", mode="noise")
     ("sweep", lambda t: dict(NOISE_SWEEP, n=16, seeds=0, epsilons="0.4, 0.2"),
      "example1+a at eps = 0.4, seed = 0: the weight must be positive at every node, "
      "but its minimum is -0.467388"),
-    ("table1", lambda t: dict(n=16, deltas=0.5, seeds=0),
-     "example1+noise: the weight must be positive at every node, but its minimum is -1.03287"),
+    ("table1", lambda t: dict(n=16, deltas="0.01, 0.5", seeds="0, 1"),
+     "example1+noise: the weight must be positive at every node, but its minimum is -1.03287 "
+     "(delta = 0.5, seed = 0)"),
     ("solve", lambda t: dict(problem="example1", n=8, delta=-0.01, seeds=0),
      "noise level must be nonnegative and finite, got -0.01"),
     ("table1", lambda t: dict(n=8, deltas="0.01, -0.01", seeds=0),
@@ -573,9 +584,21 @@ NOISE_SWEEP = dict(problem="example1", param="a", mode="noise")
     ("sweep", lambda t: dict(NOISE_SWEEP, n=8, seeds="1, 1"), "seeds must be distinct"),
     ("table1", lambda t: dict(n=8, deltas=0.01, seeds="0, 0"), "seeds must be distinct"),
     ("table1", lambda t: dict(n=8, deltas="0.01, 0.01"), "key 'deltas' must be distinct"),
+    ("certify", lambda t: dict(problem="example1", n=8),
+     "certify needs key 'u_file' (the solution field to check)"),
+    # refused by the config before the bad a_file is read
+    ("contour", lambda t: write_constant_files(t, 8, a=-1),
+     "contour needs 'u_file' or a problem with a known solution"),
+    ("contour", lambda t: dict(problem="example1", n=8, u_file=write_u(t, 16)),
+     "grid mismatch: u_file has n=16, problem has n=8"),
+    ("certify", lambda t: dict(problem="example1", n=8, u_file=write_u(t, 8, 1.0)),
+     "solution in u_file must vanish on the boundary"),
+    ("plotdata", lambda t: SOLVE_KEYS, "nothing to plot: no history.csv or solution.field"),
 ], ids=["zero-field-noise", "nonpositive-a-file", "mismatched-grids", "sweep-weight-below-0",
         "table1-weight-below-0", "negative-delta", "negative-deltas", "repeated-sweep-seeds",
-        "repeated-table1-seeds", "repeated-deltas"])
+        "repeated-table1-seeds", "repeated-deltas", "certify-without-u-file",
+        "files-contour-without-u-file", "u-file-grid-mismatch", "u-file-off-the-boundary",
+        "nothing-to-plot"])
 def test_bad_data_exits_1_before_any_solve(command, keys, message, tmp_path, capsys, monkeypatch):
     def no_solve(*args, **kwargs):
         pytest.fail(f"{command} solved before rejecting its data")
@@ -587,7 +610,21 @@ def test_bad_data_exits_1_before_any_solve(command, keys, message, tmp_path, cap
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("gradflux: ") and message in err
-    assert not list(out.glob("*.csv"))
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", ["", "sub"])
+def test_out_that_cannot_be_a_directory_exits_1(below, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gradflux.cli, "solve", lambda *a, **k: pytest.fail("solved"))
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    out = afile / below
+    cfg = write_cfg(tmp_path / "solve.cfg", **SOLVE_KEYS)
+    assert main(["solve", "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"gradflux: --out {out}: {afile} exists and is not a directory\n"
+    )
+    assert afile.read_text() == "kept\n"
 
 
 class TestDeterminism:

@@ -202,9 +202,11 @@ class TestMakePerturbed:
         with pytest.raises(ValueError, match="scalar data"):
             make_perturbed(prob100, "f", 0.01, "noise", seed=0)
 
-    def test_exact_solution_carried_over(self, prob100):
+    def test_perturbed_instances_have_no_exact_solution(self, prob100):
+        # the base's minimizer is not the perturbed instance's
         pp = make_perturbed(prob100, "H", 0.01, "smooth-bump")
-        assert pp.perturbed.exact_u is prob100.exact_u
+        assert pp.perturbed.exact_u is None
+        assert apply_table1_noise(prob100, 0.01, seed=0).exact_u is None
 
 
 class TestTable1Noise:
