@@ -18,8 +18,10 @@ configuration produce byte-identical files; nothing time- or path-dependent
 is written.
 
 ``_build_problem`` reads and checks every field file a command names.  Each
-command computes before it writes, and its first write creates --out, so a
-refused run leaves no output directory behind.
+command computes before it writes, and its first write creates --out;
+``plotdata`` reads and checks history.csv, solution.field and u_exact.field
+before it creates plots/.  So a refused run leaves no output directory, and
+no plots/, behind.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .bregman import solve
 from .config import RunConfig, UsageError, build_config, parse_config_file, resolved_lines
 from .duality import Certificate, certify
 from .fieldio import FLOAT_SPEC, FieldFormatError, fmt, read_field_meta, write_field
-from .grid import GridSpec, ScalarField, VectorField, gradient
+from .grid import GridSpec, NonFiniteFieldError, ScalarField, VectorField, gradient
 from .levelset import level_set_lengths
 from .perturb import apply_table1_noise
 from .poisson import PoissonSolver
@@ -50,6 +52,8 @@ from .stability import (
 )
 
 __all__ = ["main"]
+
+HISTORY_COLUMNS = ("k", "rel_change", "energy")  # the header of solve's history.csv
 
 
 class _Parser(argparse.ArgumentParser):
@@ -119,7 +123,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
         potential = None  # the noise moves F, so f is no longer its potential
     res = solve(p, replace(cfg.solver, record_history=True), PoissonSolver(p.grid))
     comments = resolved_lines(cfg, "solve")
-    _write_csv(out / "history.csv", comments, ("k", "rel_change", "energy"), res.history or [])
+    _write_csv(out / "history.csv", comments, HISTORY_COLUMNS, res.history or [])
     write_field(res.state.u, out / "solution.field", kind="u", problem=p.name)
     write_field(p.a, out / "a.field", kind="a", problem=p.name)
     write_field(p.H, out / "h.field", kind="h", problem=p.name)
@@ -152,8 +156,8 @@ def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]
             lines.append(f"summary: fit {col}: not enough positive points")
         else:
             lines.append(
-                f"summary: fit {col}: slope = {fit.slope:.6g}, "
-                f"intercept = {fit.intercept:.6g}, points = {fit.points_used}"
+                f"summary: fit {col}: slope = {fmt(fit.slope)}, "
+                f"intercept = {fmt(fit.intercept)}, points = {fit.points_used}"
             )
     for shape in report.shapes.values():
         lines.append(
@@ -164,10 +168,10 @@ def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]
     for b in report.bounds:
         lines.append(
             f"summary: bound {b.name}: holds = {b.holds}, "
-            f"max_ratio = {b.max_ratio:.6g}, constant = {b.constant:.6g}"
+            f"max_ratio = {fmt(b.max_ratio)}, constant = {fmt(b.constant)}"
         )
     excluded = max((r.excluded_fraction for r in report.rows), default=0.0)
-    lines.append(f"summary: max excluded node fraction = {excluded:.6g}")
+    lines.append(f"summary: max excluded node fraction = {fmt(excluded)}")
     lines += [f"summary: not converged, excluded from fits and bounds: {r}" for r in unconverged]
     return lines
 
@@ -231,13 +235,22 @@ def _cmd_contour(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _read_history_csv(path: Path) -> list[tuple[float, float, float]]:
+def _read_history_csv(path: Path) -> list[tuple[int, float, float]]:
+    """The rows of a ``solve`` history: '#' lines, the exact header, then int,float,float lines."""
+    try:
+        lines = path.read_text(encoding="utf-8").splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise UsageError(f"{path}: cannot read history ({exc})") from None
+    header = next((i for i, line in enumerate(lines) if not line.startswith("#")), len(lines))
+    if lines[header : header + 1] != [",".join(HISTORY_COLUMNS)]:
+        raise UsageError(f"{path}:{header + 1}: expected the header {','.join(HISTORY_COLUMNS)}")
     rows = []
-    for line in path.read_text(encoding="utf-8").splitlines():
-        if line.startswith("#") or line.startswith("k,"):
-            continue
-        k, rel, energy = line.split(",")
-        rows.append((float(k), float(rel), float(energy)))
+    for lineno, line in enumerate(lines[header + 1 :], start=header + 2):
+        try:
+            k, rel, energy = line.split(",")
+            rows.append((int(k), float(rel), float(energy)))
+        except ValueError:
+            raise UsageError(f"{path}:{lineno}: expected int,float,float, got {line!r}") from None
     return rows
 
 
@@ -254,60 +267,38 @@ def _write_surface(path: Path, field: ScalarField) -> None:
 
 
 def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
-    history, solution = out / "history.csv", out / "solution.field"
+    """Read and check every input, then create plots/ and write each file with its gnuplot lines."""
+    history, solution, exact, plots = (
+        out / name for name in ("history.csv", "solution.field", "u_exact.field", "plots")
+    )
     if not (history.exists() or solution.exists()):
         raise UsageError(f"nothing to plot: no history.csv or solution.field found in {out}")
-    plots = out / "plots"
-    plots.mkdir(exist_ok=True)
-    produced = []
-
-    if history.exists():
-        rows = _read_history_csv(history)
-        (plots / "convergence.dat").write_text(
-            "\n".join(f"{int(k)} {fmt(rel)}" for k, rel, _ in rows) + "\n", encoding="utf-8"
-        )
-        (plots / "energy.dat").write_text(
-            "\n".join(f"{int(k)} {fmt(e)}" for k, _, e in rows) + "\n", encoding="utf-8"
-        )
-        produced += ["convergence.dat", "energy.dat"]
-
-    exact_path = out / "u_exact.field"
+    if plots.exists() and not plots.is_dir():
+        raise UsageError(f"{plots}: exists and is not a directory")
+    rows = _read_history_csv(history) if history.exists() else None
+    surfaces = []
     if solution.exists():
-        u, _, _ = read_field_meta(solution)
-        _write_surface(plots / "surface_solution.dat", u)
-        produced.append("surface_solution.dat")
-        if exact_path.exists():
-            ue, _, _ = read_field_meta(exact_path)
-            if ue.grid == u.grid:
-                _write_surface(plots / "surface_exact.dat", ue)
-                _write_surface(plots / "surface_error.dat", u - ue)
-                produced += ["surface_exact.dat", "surface_error.dat"]
+        u = read_field_meta(solution)[0]
+        surfaces.append(("solution", "numerical solution", u))
+        ue = read_field_meta(exact)[0] if exact.exists() else None
+        if ue is not None and ue.grid == u.grid:
+            surfaces += [("exact", "exact solution", ue), ("error", "error", u - ue)]
 
+    plots.mkdir(exist_ok=True)
     script = ["# generated by gradflux plotdata; run with: gnuplot plot.gp"]
-    if "convergence.dat" in produced:
-        script += [
-            "set logscale y",
-            "set xlabel 'iteration'",
-            "set ylabel 'relative change'",
-            "plot 'convergence.dat' with lines title 'relative change'",
-            "pause -1 'press enter'",
-            "unset logscale y",
-            "set ylabel 'energy'",
-            "plot 'energy.dat' with lines title 'energy'",
-            "pause -1 'press enter'",
-        ]
-    for name, title in (
-        ("surface_solution.dat", "numerical solution"),
-        ("surface_exact.dat", "exact solution"),
-        ("surface_error.dat", "error"),
-    ):
-        if name in produced:
-            script += [
-                "set xlabel 'x'",
-                "set ylabel 'y'",
-                f"splot '{name}' with pm3d title '{title}'",
-                "pause -1 'press enter'",
-            ]
+    if rows is not None:
+        for name, col, title, setup in (
+            ("convergence", 1, "relative change", ["set logscale y", "set xlabel 'iteration'"]),
+            ("energy", 2, "energy", ["unset logscale y"]),
+        ):
+            text = "\n".join(f"{row[0]} {fmt(row[col])}" for row in rows) + "\n"
+            (plots / f"{name}.dat").write_text(text, encoding="utf-8")
+            plot = f"plot '{name}.dat' with lines title '{title}'"
+            script += [*setup, f"set ylabel '{title}'", plot, "pause -1 'press enter'"]
+    for name, title, field in surfaces:
+        _write_surface(plots / f"surface_{name}.dat", field)
+        splot = f"splot 'surface_{name}.dat' with pm3d title '{title}'"
+        script += ["set xlabel 'x'", "set ylabel 'y'", splot, "pause -1 'press enter'"]
     (plots / "plot.gp").write_text("\n".join(script) + "\n", encoding="utf-8")
     return 0
 
@@ -341,7 +332,8 @@ def main(argv=None) -> int:
             raise UsageError(f"--out {out}: {nearest} exists and is not a directory")
         strict = [args.strict] if "strict" in args else []
         return _COMMANDS[args.command](cfg, out, *strict)
-    except (UsageError, FieldFormatError, ProblemDataError, BaseNotConvergedError) as exc:
+    except (UsageError, FieldFormatError, ProblemDataError, NonFiniteFieldError,
+            BaseNotConvergedError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BaseNotConvergedError) else 1
 

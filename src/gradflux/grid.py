@@ -23,6 +23,7 @@ import numpy as np
 
 __all__ = [
     "GridSpec",
+    "NonFiniteFieldError",
     "ScalarField",
     "VectorField",
     "gradient",
@@ -72,6 +73,10 @@ class GridSpec:
         return c
 
 
+class NonFiniteFieldError(ValueError):
+    """A field value is inf or nan: the input held one, or a computation overflowed."""
+
+
 @dataclass(frozen=True, eq=False)
 class ScalarField:
     """Real values sampled at every node of a GridSpec."""
@@ -86,7 +91,7 @@ class ScalarField:
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
             )
         if not np.isfinite(v).all():
-            raise ValueError("field contains non-finite values")
+            raise NonFiniteFieldError("field contains non-finite values")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
 

@@ -1,17 +1,21 @@
+import math
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gradflux.cli
 import gradflux.stability
 from gradflux import GridSpec, ScalarField, SolverConfig, SweepSpec, example1
 from gradflux.cli import main
 from gradflux.config import ALLOWED_KEYS, UsageError, build_config, parse_config_file
-from gradflux.fieldio import read_field_meta, write_field
+from gradflux.fieldio import fmt, read_field_meta, write_field
 
 
 def write_cfg(path, **keys):
@@ -386,6 +390,32 @@ class TestSweepCommand:
         )
         assert any("summary: fit err_u_l1" in l for l in lines)
 
+    def test_summary_values_read_back_exactly(self, tmp_path, monkeypatch):
+        reports = []
+
+        def run_and_keep(*args):
+            reports.append(gradflux.stability.run_sweep(*args))
+            return reports[-1]
+
+        monkeypatch.setattr(gradflux.cli, "run_sweep", run_and_keep)
+        cfg = write_cfg(
+            tmp_path / "sweep.cfg", problem="example1", n=16, param="f", epsilons="0.04, 0.02"
+        )
+        out = tmp_path / "run"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        (report,) = reports
+        expected = [report.sigma1_est]
+        for fit in filter(None, report.fits.values()):
+            expected += [fit.slope, fit.intercept]
+        for b in report.bounds:
+            expected += [b.max_ratio, b.constant]
+        expected.append(max(r.excluded_fraction for r in report.rows))
+        summary = [l for l in (out / "sweep.csv").read_text().splitlines() if "summary:" in l]
+        names = r"\b(sigma1_est|slope|intercept|max_ratio|constant|fraction) = ([^,\s]+)"
+        printed = [m.group(2) for l in summary for m in re.finditer(names, l)]
+        assert [float(v) for v in printed] == expected
+        assert len(report.bounds) == 3 and any(fmt(v) != f"{v:.6g}" for v in expected)
+
     def test_empty_epsilons_usage_error(self, tmp_path, capsys):
         cfg = tmp_path / "sweep.cfg"
         cfg.write_text("problem = example1\nepsilons =\n")
@@ -511,6 +541,65 @@ class TestContourCommand:
         assert len(body) == 50
 
 
+def rewrite_line(path, index, edit):
+    """Replace line `index` (from 0) of a text file by edit(line)."""
+    lines = path.read_text().splitlines()
+    lines[index] = edit(lines[index])
+    path.write_text("\n".join(lines) + "\n")
+
+
+def bad_history_row(text):
+    def damage(out):
+        path = out / "history.csv"
+        row = path.read_text().splitlines().index("k,rel_change,energy") + 1
+        rewrite_line(path, row, lambda line: text)
+        return f"{path}:{row + 1}: expected int,float,float, got {text!r}"
+    return damage
+
+
+def directory_instead(name, *removed):
+    def damage(out):
+        for path in (*removed, name):
+            (out / path).unlink()
+        (out / name).mkdir()
+        return f"{out / name}: cannot read"
+    return damage
+
+
+def undecodable_history(out):
+    with open(out / "history.csv", "ab") as f:
+        f.write(b"2,\xff,1\n")
+    return f"{out / 'history.csv'}: cannot read history"
+
+
+def bad_solution_token(out):
+    rewrite_line(out / "solution.field", 2, lambda line: "x" + line[line.index(" "):])
+    return f"{out / 'solution.field'}:3: cannot parse value 'x'"
+
+
+def malformed_exact(out):
+    (out / "u_exact.field").write_text("not a field\n")
+    return f"{out / 'u_exact.field'}:1: malformed header"
+
+
+def plots_file(out):
+    (out / "plots").write_text("kept\n")
+    return f"{out / 'plots'}: exists and is not a directory"
+
+
+# Each damages a copy of a solve directory and returns the start of the error it must cause.
+PLOTDATA_DAMAGE = {
+    "solution-token": bad_solution_token,
+    "history-two-columns": bad_history_row("1,abc"),
+    "history-not-numbers": bad_history_row("a,b,c"),
+    "history-not-utf8": undecodable_history,
+    "history-directory": directory_instead("history.csv"),
+    "solution-directory": directory_instead("solution.field", "history.csv"),
+    "exact-malformed": malformed_exact,
+    "plots-file": plots_file,
+}
+
+
 class TestPlotdataCommand:
     def test_from_solve_output(self, tmp_path):
         cfg = write_cfg(tmp_path / "solve.cfg", **SOLVE_KEYS)
@@ -554,6 +643,59 @@ class TestPlotdataCommand:
         assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 1
         assert "nothing to plot" in capsys.readouterr().err
         assert not list(out.iterdir())  # no plots/ left behind
+
+    @pytest.mark.parametrize("damage", list(PLOTDATA_DAMAGE))
+    def test_bad_input_exits_1_and_writes_nothing(self, damage, n12_run, tmp_path, capsys):
+        out = tmp_path / "run"
+        shutil.copytree(n12_run, out)
+        named = PLOTDATA_DAMAGE[damage](out)
+        before = snapshot(out)
+        cfg = write_cfg(tmp_path / "plot.cfg", problem="example1")
+        assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"gradflux: {named}") and len(err.splitlines()) == 1
+        assert snapshot(out) == before  # no plots/ and no file changed
+
+
+def snapshot(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: None if p.is_dir() else p.read_bytes() for p in sorted(root.rglob("*"))}
+
+
+@pytest.fixture(scope="module")
+def n12_run(tmp_path_factory):
+    """One solve directory at n=12, copied by each test that damages it."""
+    root = tmp_path_factory.mktemp("n12")
+    cfg = write_cfg(root / "solve.cfg", problem="example1", n=12, max_iter=2000)
+    assert main(["solve", "--config", cfg, "--out", str(root / "run")]) == 0
+    return root / "run"
+
+
+HISTORY_ROWS = st.lists(st.tuples(
+    st.integers(0, 10**9),
+    st.one_of(st.just(math.inf), st.floats(min_value=0.0, allow_nan=False)),
+    st.floats(allow_nan=False),
+))
+
+
+@given(rows=HISTORY_ROWS)
+@settings(max_examples=50, deadline=None)
+def test_history_rows_read_back_exactly(tmp_path_factory, rows):
+    path = tmp_path_factory.mktemp("history") / "history.csv"
+    gradflux.cli._write_csv(path, ["command = solve"], gradflux.cli.HISTORY_COLUMNS, rows)
+    back = gradflux.cli._read_history_csv(path)
+    assert back == rows and all(type(k) is int for k, _, _ in back)
+
+
+@pytest.mark.parametrize("header", [
+    "k,rel_change", "k,rel_change,energy,extra", "rel_change,k,energy", "K,rel_change,energy",
+    "k, rel_change, energy", "1,0.5,2.0", "",
+])
+def test_history_header_must_be_exact(header, tmp_path):
+    path = tmp_path / "history.csv"
+    path.write_text(f"# command = solve\n{header}\n1,0.5,2.0\n")
+    with pytest.raises(UsageError, match=re.escape(f"{path}:2: expected the header")):
+        gradflux.cli._read_history_csv(path)
 
 
 NOISE_SWEEP = dict(problem="example1", param="a", mode="noise")
@@ -625,6 +767,26 @@ def test_out_that_cannot_be_a_directory_exits_1(below, tmp_path, capsys, monkeyp
         f"gradflux: --out {out}: {afile} exists and is not a directory\n"
     )
     assert afile.read_text() == "kept\n"
+
+
+def write_interior_u(tmp_path, n, value):
+    v = np.zeros(GridSpec(n).shape)
+    v[1:-1, 1:-1] = value
+    write_field(ScalarField(GridSpec(n), v), tmp_path / "u.field")
+    return tmp_path / "u.field"
+
+
+@pytest.mark.parametrize("command, keys", [
+    ("solve", lambda t: dict(write_constant_files(t, 8, h=1e300), max_iter=20)),
+    ("certify", lambda t: dict(problem="example1", n=8, u_file=write_interior_u(t, 8, 1e307))),
+], ids=["solve-huge-h", "certify-huge-u"])
+def test_overflow_exits_1_with_one_line(command, keys, tmp_path, capsys):
+    cfg = write_cfg(tmp_path / "c.cfg", **keys(tmp_path))
+    out = tmp_path / "o"
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "gradflux: field contains non-finite values\n"
+    assert not out.exists()
 
 
 class TestDeterminism:
