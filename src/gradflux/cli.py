@@ -9,8 +9,9 @@ Subcommands::
     gradflux contour  --config cfg [--out DIR]
     gradflux plotdata --config cfg [--out DIR]
 
-Exit codes: 0 success, 1 usage/configuration error, 2 compute failure
-(non-convergence under --strict, or a sweep whose base solve did not converge).
+Exit codes: 0 success, 1 usage/configuration error or a failed write, 2
+compute failure (non-convergence under --strict, or a sweep whose base solve
+did not converge).
 
 Every CSV embeds the fully resolved configuration as '#' comment lines, so
 any run can be replayed from its own output.  Two invocations with the same
@@ -336,6 +337,10 @@ def main(argv=None) -> int:
             BaseNotConvergedError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
         return 2 if isinstance(exc, BaseNotConvergedError) else 1
+    except OSError as exc:  # every read reports its own errors, so this is a failed write
+        print(f"gradflux: {exc.filename or args.out}: cannot write ({exc.strerror or exc})",
+              file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -3,9 +3,11 @@
 ``solve_dirichlet`` returns the field vanishing on the boundary whose 5-point
 Laplacian (the divergence-of-gradient composition from :mod:`gradflux.grid`)
 matches the right-hand side at every interior node.  It diagonalizes the
-interior operator with the type-I discrete sine transform, making the solve
-exact up to roundoff in O(n^2 log n).  ``scipy.fft`` is imported by the first
-solve, so commands that never solve do not load it.
+interior operator with the type-I discrete sine transform, applied as a cached
+orthonormal sine matrix through numpy's BLAS, making the solve exact up to
+roundoff in O(n^3).  At n=100 that is faster than an O(n^2 log n) FFT-based
+transform; the two meet near n=128.  From n=128 on, the result's last bits
+can depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -37,10 +39,15 @@ class PoissonSolver:
         return ev
 
     @cached_property
-    def _dst(self):
-        import scipy.fft
-
-        return scipy.fft.dstn
+    def _sine(self) -> np.ndarray:
+        # Orthonormal DST-I matrix: symmetric and its own inverse.  Reducing
+        # jk mod 2n keeps every angle in [0, 2pi), so each entry is accurate
+        # to an ulp.
+        n = self.grid.n
+        k = np.arange(1, n)
+        s = np.sqrt(2.0 / n) * np.sin(np.pi * (np.outer(k, k) % (2 * n)) / n)
+        s.setflags(write=False)
+        return s
 
     def solve_dirichlet(self, rhs: ScalarField) -> ScalarField:
         """Solve laplacian(u) = rhs at interior nodes with u = 0 on the boundary.
@@ -52,10 +59,9 @@ class PoissonSolver:
                 f"right-hand side grid (n={rhs.grid.n}) does not match solver grid "
                 f"(n={self.grid.n})"
             )
-        dst = self._dst
-        fh = dst(rhs.values[1:-1, 1:-1], type=1, norm="ortho")
+        s = self._sine
+        fh = s @ rhs.values[1:-1, 1:-1] @ s
         fh /= self._eigenvalues
-        ui = dst(fh, type=1, norm="ortho")
         out = np.zeros(self.grid.shape)
-        out[1:-1, 1:-1] = ui
+        out[1:-1, 1:-1] = s @ fh @ s
         return ScalarField(self.grid, out)

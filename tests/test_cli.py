@@ -789,6 +789,21 @@ def test_overflow_exits_1_with_one_line(command, keys, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("solve", "history.csv"),
+    ("plotdata", "plots/energy.dat"),
+])
+def test_failed_write_exits_1_with_one_line(command, blocked, n12_run, tmp_path, capsys):
+    """A directory where an output file goes: one gradflux: line naming it, no traceback."""
+    out = tmp_path / "run"
+    shutil.copytree(n12_run, out)
+    (out / blocked).unlink(missing_ok=True)
+    (out / blocked).mkdir(parents=True)
+    cfg = write_cfg(tmp_path / "c.cfg", problem="example1", n=12, max_iter=2000)
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"gradflux: {out / blocked}: cannot write (Is a directory)\n"
+
+
 class TestDeterminism:
     def test_repeat_runs_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path / "solve.cfg", **SOLVE_KEYS)

@@ -97,8 +97,9 @@ def test_solution_vanishes_on_boundary():
     assert np.abs(out.boundary_values()).max() == 0.0
 
 
-def test_methods_agree():
-    g = GridSpec(32)
+@pytest.mark.parametrize("n", [8, 32, 37, 101])
+def test_methods_agree(n):
+    g = GridSpec(n)
     rng = np.random.default_rng(9)
     rhs = ScalarField(g, rng.standard_normal(g.shape))
     ft = PoissonSolver(g).solve_dirichlet(rhs)
@@ -122,8 +123,10 @@ def test_grid_mismatch_is_usage_error():
 
 _FRESH_IMPORT = """
 import sys
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 import gradflux.cli
-assert "scipy.fft" not in sys.modules, "importing gradflux.cli loaded scipy.fft"
+assert not scipy_modules(), f"importing gradflux.cli loaded {scipy_modules()}"
 import numpy as np
 from gradflux import GridSpec, PoissonSolver, ScalarField, norm
 from test_poisson import cg_oracle
@@ -131,15 +134,40 @@ g = GridSpec(8)
 rhs = ScalarField(g, np.random.default_rng(3).standard_normal(g.shape))
 out = PoissonSolver(g).solve_dirichlet(rhs)
 assert norm(out - cg_oracle(rhs), "l2") <= 1e-8 * norm(out, "l2")
-assert "scipy.fft" in sys.modules
+assert not scipy_modules(), f"a solve loaded {scipy_modules()}"
+"""
+
+_SOLVE_BYTES = """
+import hashlib
+import numpy as np
+from gradflux import GridSpec, PoissonSolver, ScalarField
+g = GridSpec(100)
+rhs = ScalarField(g, np.random.default_rng(4).standard_normal(g.shape))
+print(hashlib.sha256(PoissonSolver(g).solve_dirichlet(rhs).values.tobytes()).hexdigest())
 """
 
 
-def test_cli_import_defers_scipy_until_a_solve():
-    """Commands that never solve do not load scipy.fft; the first solve does."""
+def _run_fresh(code, **env_vars):
     path = [str(Path(gradflux.__file__).resolve().parents[1]), str(Path(__file__).parent)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")])}
+    env = {
+        **os.environ,
+        **env_vars,
+        "PYTHONPATH": os.pathsep.join(path + [os.environ.get("PYTHONPATH", "")]),
+    }
     proc = subprocess.run(
-        [sys.executable, "-c", _FRESH_IMPORT], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_no_scipy_module_is_loaded_by_cli_import_or_a_solve():
+    """Neither importing the CLI nor a solve loads scipy or any scipy.* module."""
+    _run_fresh(_FRESH_IMPORT)
+
+
+def test_solve_bits_do_not_depend_on_blas_thread_count_at_n100():
+    """At the reference n=100 the sine-matrix solve gives the same bits under
+    1 and 2 OpenBLAS threads; from n=128 on they can differ."""
+    one, two = (_run_fresh(_SOLVE_BYTES, OPENBLAS_NUM_THREADS=t) for t in ("1", "2"))
+    assert one == two
