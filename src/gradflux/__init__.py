@@ -32,8 +32,6 @@ from .stability import (
     StabilityReport,
     SweepRow,
     SweepSpec,
-    Table1Report,
-    Table1Row,
     fit_rate,
     run_sweep,
     table1_experiment,

@@ -48,6 +48,7 @@ from .stability import (
     SWEEP_COLUMNS,
     BaseNotConvergedError,
     StabilityReport,
+    SweepRow,
     run_sweep,
     table1_experiment,
 )
@@ -70,6 +71,12 @@ def _write_csv(path: Path, comments, columns, rows) -> None:
     for row in rows:
         lines.append(",".join(fmt(v) for v in row))
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _write_rows(path: Path, comments, rows: list[SweepRow]) -> None:
+    """sweep.csv and table1.csv: one REPORT_COLUMNS line per row."""
+    lines = [tuple(getattr(r, c) for c in REPORT_COLUMNS) for r in rows]
+    _write_csv(path, comments, REPORT_COLUMNS, lines)
 
 
 def _build_problem(cfg: RunConfig) -> tuple[ProblemData, ScalarField | None, ScalarField | None]:
@@ -181,8 +188,7 @@ def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
     report = run_sweep(_build_problem(cfg)[0], cfg.sweep)
     unconverged = [f"eps = {fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report, unconverged)
-    rows = [tuple(getattr(r, c) for c in REPORT_COLUMNS) for r in report.rows]
-    _write_csv(out / "sweep.csv", comments, REPORT_COLUMNS, rows)
+    _write_rows(out / "sweep.csv", comments, report.rows)
     return _nonconvergence_status(
         bool(unconverged),
         f"{len(unconverged)} sweep row(s) did not converge: {'; '.join(unconverged)}",
@@ -191,27 +197,22 @@ def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
-    report = table1_experiment(cfg.solver, seeds=cfg.seeds, n=cfg.n, deltas=cfg.deltas)
+    rows = table1_experiment(cfg.solver, seeds=cfg.seeds, n=cfg.n, deltas=cfg.deltas)
     comments = resolved_lines(cfg, "table1")
-    comments.append(f"summary: replication = {report.replication}")
+    comments.append(f"summary: replication = {cfg.n == 100}")
     for d in cfg.deltas:
-        runs = [r for r in report.rows if r.delta == d]
-        capped = sum(not r.converged for r in runs)
+        runs = [r for r in rows if r.eps == d]
         comments.append(
-            f"summary: delta = {fmt(float(d))}: mean_rel_l2 = "
-            f"{fmt(report.mean_rel_l2[d])}, mean_iters = {fmt(report.mean_iters[d])}, "
-            f"max_err = {fmt(report.max_err[d])}, capped = {capped} of {len(runs)}"
+            f"summary: delta = {fmt(float(d))}: "
+            f"mean_rel_l2 = {fmt(np.mean([r.rel_l2 for r in runs]))}, "
+            f"mean_iters = {fmt(np.mean([r.iters for r in runs]))}, "
+            f"max_err = {fmt(max(r.max_err for r in runs))}, "
+            f"capped = {sum(not r.valid for r in runs)} of {len(runs)}"
         )
-    unconverged = [
-        f"delta = {fmt(r.delta)}, seed = {r.seed}" for r in report.rows if not r.converged
-    ]
+    unconverged = [f"delta = {fmt(r.eps)}, seed = {r.seed}" for r in rows if not r.valid]
     comments += [f"summary: not converged: {r}" for r in unconverged]
     comments.append("note: err_* columns apply to perturbation sweeps; table1 rows carry nan")
-    rows = []
-    for r in report.rows:
-        known = {"eps": r.delta, "seed": r.seed, "iters": r.iters, "rel_l2": r.rel_l2}
-        rows.append(tuple(known.get(c, float("nan")) for c in REPORT_COLUMNS))
-    _write_csv(out / "table1.csv", comments, REPORT_COLUMNS, rows)
+    _write_rows(out / "table1.csv", comments, rows)
     return _nonconvergence_status(
         bool(unconverged),
         f"{len(unconverged)} table1 run(s) did not converge: {'; '.join(unconverged)}",

@@ -1,10 +1,12 @@
 """Perturbation sweeps, empirical decay rates and explicit-constant bounds.
 
-``run_sweep`` solves the base instance once, then re-solves a family of
-perturbed instances and measures how far the minimizer, its gradient, the
-flux and its coefficient move, fitting log-log decay rates against the
-perturbation amplitude.  For conservative drift perturbations it also
-checks the explicit bounds
+Both experiments build every instance first and then hand the list to one
+runner, which solves each instance and returns one ``SweepRow`` for it.
+``run_sweep`` solves the base instance once, then runs a family of
+perturbed instances against it and measures how far the minimizer, its
+gradient, the flux and its coefficient move, fitting log-log decay rates
+against the perturbation amplitude.  For conservative drift perturbations
+it also checks the explicit bounds
 
     |E - E~|            <= M |F - F~|_L1
     int |J||J~| - J.J~  <= 2 M sigma1 |F - F~|_L1
@@ -14,8 +16,8 @@ with a 10% discretization allowance.  Each row records its own sigma1, the
 largest coefficient value on the base or the perturbed instance, and
 ``sigma1_est`` is the largest over all rows.  ``table1_experiment``
 is the stochastic-noise robustness table: all three data fields are noised
-at levels delta in {0.01, 0.035, 0.06} and the relative L2 error against
-the known solution is aggregated over seeds.
+at levels delta in {0.01, 0.035, 0.06}, and its rows, which have no base,
+carry the errors against the known solution and nan in the sweep columns.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 
 from .bregman import SolveResult, SolverConfig, solve
 from .duality import ETA, check_eta, flux
-from .grid import GridSpec, gradient, interior_l1, norm
-from .perturb import PerturbedProblem, apply_table1_noise, check_param_mode, make_perturbed
+from .grid import GridSpec, ScalarField, gradient, interior_l1, norm
+from .perturb import apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
 from .problems import ProblemData, ProblemDataError, example1
 
@@ -39,8 +41,6 @@ __all__ = [
     "BoundCheck",
     "ShapeCheck",
     "StabilityReport",
-    "Table1Row",
-    "Table1Report",
     "fit_rate",
     "run_sweep",
     "table1_experiment",
@@ -137,20 +137,29 @@ class ShapeCheck:
 
 @dataclass(frozen=True, eq=False)
 class SweepRow:
-    eps: float
+    """The outcome of one solved instance, a sweep row or a table1 run.
+
+    The six ``SWEEP_COLUMNS``, ``excluded_fraction`` and ``sigma1`` compare
+    the solution with the base solve and are nan in a row with no base (every
+    table1 row).  ``rel_l2`` and ``max_err`` compare it with the exact
+    solution and are nan when the problem has none.
+    """
+
+    eps: float  # the perturbation amplitude; a table1 row's noise level delta
     seed: int  # -1 for deterministic rows
-    err_u_l1: float
-    err_gradu_l1: float
-    err_sigma_l1: float
-    err_J_l1: float
-    energy_diff: float
-    misalignment: float
+    err_u_l1: float  # |u - u0|_L1
+    err_gradu_l1: float  # |grad u - grad u0|_L1 over nodes unmasked in both fluxes
+    err_sigma_l1: float  # |sigma - sigma0|_L1 over the same nodes
+    err_J_l1: float  # |J - J0|_L1
+    energy_diff: float  # |E - E0|
+    misalignment: float  # the integral of |J||J0| - J.J0
     iters: int
-    rel_l2: float
-    valid: bool
-    measured_sizes: dict[str, float]
-    excluded_fraction: float
-    sigma1: float
+    rel_l2: float  # |u - exact|_L2 / |exact|_L2
+    max_err: float  # |u - exact|_Linf
+    valid: bool  # the solve converged; invalid rows are left out of fits and bounds
+    measured_sizes: dict[str, float]  # sizes of the data changes; empty for table1
+    excluded_fraction: float  # share of interior nodes masked in either flux
+    sigma1: float  # the largest coefficient on the base or this instance
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,29 +170,6 @@ class StabilityReport:
     shapes: dict[str, ShapeCheck]
     sigma1_est: float
     base_result: SolveResult
-
-
-@dataclass(frozen=True)
-class Table1Row:
-    delta: float
-    seed: int
-    rel_l2: float
-    iters: int
-    max_err: float
-    converged: bool
-
-
-@dataclass(frozen=True, eq=False)
-class Table1Report:
-    rows: list[Table1Row]
-    mean_rel_l2: dict[float, float]
-    mean_iters: dict[float, float]
-    max_err: dict[float, float]
-    n: int
-
-    @property
-    def replication(self) -> bool:
-        return self.n == 100
 
 
 def fit_rate(points) -> RateFit:
@@ -290,6 +276,72 @@ def _drift_bounds(rows: list[SweepRow], M: float, sigma1: float) -> list[BoundCh
     return checks
 
 
+def _solve_instances(
+    instances,
+    solver: SolverConfig,
+    poisson: PoissonSolver,
+    exact_u: ScalarField | None,
+    base: tuple[ProblemData, SolveResult] | None = None,
+    eta: float = ETA,
+) -> list[SweepRow]:
+    """Solve each (eps, seed, instance, measured sizes) in order, one row each.
+
+    ``rel_l2`` and ``max_err`` are measured against ``exact_u`` and the base
+    fields against the base (problem, solve); without them they are nan.
+    """
+    if exact_u is not None:
+        exact_norm = norm(exact_u, "l2")
+    if base is not None:
+        base_problem, base_result = base
+        u0 = base_result.state.u
+        g0 = gradient(u0)
+        base_flux = flux(u0, base_problem, eta)
+        sigma0 = base_flux.sigma.values.max(initial=0.0)
+
+    def against_base(instance: ProblemData, u1: ScalarField) -> dict[str, float]:
+        if base is None:
+            return dict.fromkeys((*SWEEP_COLUMNS, "excluded_fraction", "sigma1"), float("nan"))
+        grid = instance.grid
+        g1 = gradient(u1)
+        new_flux = flux(u1, instance, eta)
+        joint = base_flux.mask & new_flux.mask
+        grad_diff = np.hypot(g0.x.values - g1.x.values, g0.y.values - g1.y.values)
+        sigma_diff = np.abs(base_flux.sigma.values - new_flux.sigma.values)
+        return dict(
+            err_u_l1=norm(u1 - u0, "l1"),
+            err_gradu_l1=interior_l1(grid, np.where(joint, grad_diff, 0.0)),
+            err_sigma_l1=interior_l1(grid, np.where(joint, sigma_diff, 0.0)),
+            err_J_l1=norm(base_flux.J - new_flux.J, "l1"),
+            energy_diff=abs(base_flux.energy - new_flux.energy),
+            misalignment=_misalignment(grid, base_flux.J, new_flux.J),
+            excluded_fraction=float(1.0 - joint[1:-1, 1:-1].mean()),
+            sigma1=float(max(sigma0, new_flux.sigma.values.max(initial=0.0))),
+        )
+
+    def against_exact(u1: ScalarField) -> dict[str, float]:
+        if exact_u is None:
+            return dict.fromkeys(("rel_l2", "max_err"), float("nan"))
+        diff = u1 - exact_u
+        return dict(rel_l2=norm(diff, "l2") / exact_norm, max_err=norm(diff, "linf"))
+
+    rows = []
+    for eps, seed, instance, sizes in instances:
+        res = solve(instance, solver, poisson)
+        u1 = res.state.u
+        rows.append(
+            SweepRow(
+                eps=eps,
+                seed=seed,
+                iters=res.iterations,
+                valid=res.converged,
+                measured_sizes=sizes,
+                **against_base(instance, u1),
+                **against_exact(u1),
+            )
+        )
+    return rows
+
+
 def run_sweep(
     p: ProblemData,
     spec: SweepSpec,
@@ -306,51 +358,16 @@ def run_sweep(
     from fits and bound checks.
     """
     seeds: tuple[int | None, ...] = spec.seeds if spec.mode == "noise" else (None,)
-    instances = [
-        (eps, seed, make_perturbed(p, spec.param, eps, spec.mode, seed))
-        for eps in spec.epsilons
-        for seed in seeds
-    ]
+    instances = []
+    for eps in spec.epsilons:
+        for seed in seeds:
+            pp = make_perturbed(p, spec.param, eps, spec.mode, seed)
+            instances.append((eps, -1 if seed is None else seed, pp.perturbed, pp.measured_sizes))
     poisson = poisson or PoissonSolver(p.grid)
     base = base or solve(p, spec.solver, poisson)
     if not base.converged:
         raise BaseNotConvergedError("base solve did not converge; cannot anchor the sweep")
-    grid = p.grid
-    u0 = base.state.u
-    g0 = gradient(u0)
-    base_flux = flux(u0, p, spec.eta)
-    sigma0 = base_flux.sigma.values.max(initial=0.0)
-
-    def measure(eps: float, seed: int | None, pp: PerturbedProblem) -> SweepRow:
-        res = solve(pp.perturbed, spec.solver, poisson)
-        u1 = res.state.u
-        g1 = gradient(u1)
-        new_flux = flux(u1, pp.perturbed, spec.eta)
-        joint = base_flux.mask & new_flux.mask
-        grad_diff = np.hypot(g0.x.values - g1.x.values, g0.y.values - g1.y.values)
-        sigma_diff = np.abs(base_flux.sigma.values - new_flux.sigma.values)
-        if p.exact_u is not None:
-            rel_l2 = norm(u1 - p.exact_u, "l2") / norm(p.exact_u, "l2")
-        else:
-            rel_l2 = float("nan")
-        return SweepRow(
-            eps=eps,
-            seed=-1 if seed is None else seed,
-            err_u_l1=norm(u1 - u0, "l1"),
-            err_gradu_l1=interior_l1(grid, np.where(joint, grad_diff, 0.0)),
-            err_sigma_l1=interior_l1(grid, np.where(joint, sigma_diff, 0.0)),
-            err_J_l1=norm(base_flux.J - new_flux.J, "l1"),
-            energy_diff=abs(base_flux.energy - new_flux.energy),
-            misalignment=_misalignment(grid, base_flux.J, new_flux.J),
-            iters=res.iterations,
-            rel_l2=rel_l2,
-            valid=res.converged,
-            measured_sizes=pp.measured_sizes,
-            excluded_fraction=float(1.0 - joint[1:-1, 1:-1].mean()),
-            sigma1=float(max(sigma0, new_flux.sigma.values.max(initial=0.0))),
-        )
-
-    rows = [measure(eps, seed, pp) for eps, seed, pp in instances]
+    rows = _solve_instances(instances, spec.solver, poisson, p.exact_u, (p, base), spec.eta)
     averaged = {col: _seed_averaged(rows, col) for col in SWEEP_COLUMNS}
     fits = {col: _fit_points(pts) for col, pts in averaged.items()}
     shapes = {
@@ -374,47 +391,26 @@ def table1_experiment(
     seeds,
     n: int = 100,
     deltas=TABLE1_DELTAS,
-) -> Table1Report:
+) -> list[SweepRow]:
     """Noise-robustness table: noise H, a, F jointly and measure errors vs exact.
 
     Runs the benchmark instance at resolution n (n=100 is the replication
-    setting) for every (delta, seed) pair; each row is replayable from its
-    recorded seed through :func:`gradflux.perturb.apply_table1_noise`.  All
-    noised instances are built before the first solve.
+    setting) for every (delta, seed) pair and returns one row per run, in that
+    order, with delta as its ``eps``.  The rows have no base, so their sweep
+    columns are nan.  Each row is replayable from its recorded seed through
+    :func:`gradflux.perturb.apply_table1_noise`.  All noised instances are
+    built before the first solve.
     """
     seeds = tuple(int(s) for s in seeds)
     if not seeds:
         raise ValueError("need at least one seed")
     grid = GridSpec(n)
     p = example1(grid)
-    deltas = tuple(float(d) for d in deltas)
     instances = []
-    for d in deltas:
+    for d in map(float, deltas):
         for s in seeds:
             try:
-                instances.append((d, s, apply_table1_noise(p, d, s)))
+                instances.append((d, s, apply_table1_noise(p, d, s), {}))
             except ProblemDataError as exc:  # the instance name does not say which run
                 raise ProblemDataError(f"{exc} (delta = {d:g}, seed = {s})") from None
-    poisson = PoissonSolver(grid)
-    exact_norm = norm(p.exact_u, "l2")
-    rows: list[Table1Row] = []
-    for delta, seed, noisy in instances:
-        res = solve(noisy, cfg, poisson)
-        diff = res.state.u - p.exact_u
-        rows.append(
-            Table1Row(
-                delta=delta,
-                seed=seed,
-                rel_l2=norm(diff, "l2") / exact_norm,
-                iters=res.iterations,
-                max_err=norm(diff, "linf"),
-                converged=res.converged,
-            )
-        )
-    by_delta = {d: [r for r in rows if r.delta == d] for d in deltas}
-    mean_rel = {d: float(np.mean([r.rel_l2 for r in g])) for d, g in by_delta.items()}
-    mean_iters = {d: float(np.mean([r.iters for r in g])) for d, g in by_delta.items()}
-    max_err = {d: float(max(r.max_err for r in g)) for d, g in by_delta.items()}
-    return Table1Report(
-        rows=rows, mean_rel_l2=mean_rel, mean_iters=mean_iters, max_err=max_err, n=n
-    )
+    return _solve_instances(instances, cfg, PoissonSolver(grid), p.exact_u)

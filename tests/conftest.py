@@ -1,6 +1,23 @@
+import math
+
 import pytest
 
 from gradflux import GridSpec, PoissonSolver, SolverConfig, example1, solve
+from gradflux.stability import REPORT_COLUMNS
+
+
+@pytest.fixture(scope="session")
+def same_row():
+    """Whether two rows agree exactly on REPORT_COLUMNS, max_err and valid.
+
+    SweepRow compares by identity, and nan != nan, so the values are compared
+    one by one with == and a nan matches only a nan.
+    """
+    def same(a, b) -> bool:
+        pairs = [(getattr(a, c), getattr(b, c)) for c in (*REPORT_COLUMNS, "max_err", "valid")]
+        return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in pairs)
+
+    return same
 
 
 @pytest.fixture(scope="session")

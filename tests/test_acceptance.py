@@ -43,7 +43,7 @@ def _report(num: int, label: str, failures: list[str]) -> None:
 
 
 @pytest.fixture(scope="module")
-def table1_report():
+def table1_rows():
     return table1_experiment(ACCEPT_SOLVER, seeds=range(10), n=100, deltas=DELTAS)
 
 
@@ -73,15 +73,16 @@ def sweep_combined(prob100, psolver100, solved100):
     return run_sweep(prob100, spec, psolver100, base=solved100)
 
 
-def test_criterion_1_table1_replication(table1_report):
+def test_criterion_1_table1_replication(table1_rows):
     failures = []
-    means = table1_report.mean_rel_l2
+    runs = {d: [r for r in table1_rows if r.eps == d] for d in DELTAS}
+    means = {d: float(np.mean([r.rel_l2 for r in rs])) for d, rs in runs.items()}
     for d in DELTAS:
         print(
             f"[acceptance]   delta={d}: mean rel_l2 = {means[d]:.4f} "
             f"(reference {PAPER_MEANS[d]}, band "
             f"[{0.5 * PAPER_MEANS[d]:.4f}, {1.5 * PAPER_MEANS[d]:.4f}]), "
-            f"mean iterations = {table1_report.mean_iters[d]:.0f}"
+            f"mean iterations = {np.mean([r.iters for r in runs[d]]):.0f}"
         )
     if not (means[0.01] < means[0.035] < means[0.06]):
         failures.append(f"means not strictly increasing in delta: {means}")
@@ -223,7 +224,7 @@ def test_criterion_5_numerical_kernels(prob100):
     _report(5, "numerical kernel properties", failures)
 
 
-def test_criterion_6_determinism(tmp_path, table1_report):
+def test_criterion_6_determinism(tmp_path, table1_rows, same_row):
     failures = []
 
     # byte-identical CSV bodies for repeated identical configs
@@ -251,9 +252,9 @@ def test_criterion_6_determinism(tmp_path, table1_report):
         failures.append("sweep.csv differs between identical runs")
 
     # individual replay of one noise-table row
-    target = [r for r in table1_report.rows if r.delta == 0.035 and r.seed == 7][0]
-    replay = table1_experiment(ACCEPT_SOLVER, seeds=(7,), n=100, deltas=(0.035,)).rows[0]
-    if replay != target:
+    target = [r for r in table1_rows if r.eps == 0.035 and r.seed == 7][0]
+    replay = table1_experiment(ACCEPT_SOLVER, seeds=(7,), n=100, deltas=(0.035,))[0]
+    if not same_row(replay, target):
         failures.append(f"replayed row {replay} != original {target}")
 
     _report(6, "determinism", failures)

@@ -509,6 +509,24 @@ class TestTable1Command:
         body = [l for l in text.splitlines() if not l.startswith("#")]
         assert len(body) == 3  # header + 2 rows
 
+    def test_rows_are_the_experiment_rows(self, tmp_path):
+        cfg = write_cfg(
+            tmp_path / "t1.cfg", n=16, deltas="0.05, 0.01", seeds="0, 1", max_iter=300
+        )
+        out = tmp_path / "run"
+        assert main(["table1", "--config", cfg, "--out", str(out)]) == 0
+        lines = (out / "table1.csv").read_text().splitlines()
+        assert "# summary: replication = False" in lines
+        body = lines[lines.index(",".join(gradflux.stability.REPORT_COLUMNS)) + 1 :]
+        rows = gradflux.stability.table1_experiment(
+            SolverConfig(max_iter=300), seeds=(0, 1), n=16, deltas=(0.05, 0.01)
+        )
+        assert len(body) == len(rows) == 4
+        for line, r in zip(body, rows):
+            assert line == ",".join(
+                [fmt(r.eps), fmt(r.seed), *["nan"] * 6, fmt(r.iters), fmt(r.rel_l2)]
+            )
+
     def test_unconverged_runs_named(self, tmp_path, capsys):
         # at n=8 and delta 0.06, seed 0 stops by tolerance after 261 iterations
         # and seed 1 runs to max_iter = 500; at max_iter = 1000 both converge

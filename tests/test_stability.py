@@ -21,6 +21,7 @@ from gradflux import (
     solve,
     table1_experiment,
 )
+from gradflux.stability import SWEEP_COLUMNS
 
 FAST = SolverConfig(tol=1e-7, max_iter=4000)
 
@@ -185,6 +186,9 @@ class TestRunSweepSmall:
             u1 = solve(pp.perturbed, FAST, poisson).state.u
             row_max = flux(u1, pp.perturbed, spec.eta).sigma.values.max()
             assert row.sigma1 == max(base_max, row_max)
+            diff = u1 - p.exact_u
+            assert row.rel_l2 == norm(diff, "l2") / norm(p.exact_u, "l2")
+            assert row.max_err == norm(diff, "linf")
         assert report.sigma1_est == max(r.sigma1 for r in report.rows)
 
     def test_reuses_supplied_base_solve(self):
@@ -225,22 +229,25 @@ def test_conservative_drift_sweep_matches_closed_form():
 
 
 class TestTable1Small:
-    def test_structure_and_determinism(self):
+    def test_structure_and_determinism(self, same_row):
         cfg = SolverConfig(tol=1e-7, max_iter=300)
         r1 = table1_experiment(cfg, seeds=(0, 1), n=16, deltas=(0.05,))
         r2 = table1_experiment(cfg, seeds=(0, 1), n=16, deltas=(0.05,))
-        assert not r1.replication
-        assert len(r1.rows) == 2
-        assert [r.seed for r in r1.rows] == [0, 1]
-        for a, b in zip(r1.rows, r2.rows):
-            assert a == b  # frozen dataclass equality is bitwise on floats
+        assert len(r1) == 2
+        assert [r.seed for r in r1] == [0, 1]
+        for a, b in zip(r1, r2):
+            assert same_row(a, b)  # == on every value is bitwise on floats
+        for r in r1:  # no base: the fields measured against one are nan
+            base_fields = (*SWEEP_COLUMNS, "excluded_fraction", "sigma1")
+            assert all(np.isnan(getattr(r, c)) for c in base_fields)
+            assert r.measured_sizes == {} and 0 < r.rel_l2 and 0 < r.max_err < np.inf
 
-    def test_single_seed_replays_row(self):
+    def test_single_seed_replays_row(self, same_row):
         cfg = SolverConfig(tol=1e-7, max_iter=300)
         full = table1_experiment(cfg, seeds=(0, 1, 2), n=16, deltas=(0.05,))
         replay = table1_experiment(cfg, seeds=(1,), n=16, deltas=(0.05,))
-        target = [r for r in full.rows if r.seed == 1][0]
-        assert replay.rows[0] == target
+        target = [r for r in full if r.seed == 1][0]
+        assert same_row(replay[0], target)
 
     def test_needs_seeds(self):
         with pytest.raises(ValueError, match="seed"):
