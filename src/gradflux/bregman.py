@@ -97,7 +97,7 @@ def shrink_step(
     sx -= F.x.values
     sy *= scale
     sy -= F.y.values
-    return VectorField.from_arrays(b.grid, sx, sy)
+    return VectorField(ScalarField.adopt(b.grid, sx), ScalarField.adopt(b.grid, sy))
 
 
 def iterate(
@@ -105,8 +105,9 @@ def iterate(
 ) -> SolverState:
     """One sweep of the iteration; exactly one Poisson solve per call."""
     lam = cfg.lam
-    rhs_vals = divergence(state.d - state.b).values + p.H.values / lam
-    u_new = solver.solve_dirichlet(ScalarField(p.grid, rhs_vals))
+    rhs = p.H.values / lam
+    rhs += divergence(state.d - state.b).values  # div(d - b) + H/lam: addition commutes
+    u_new = solver.solve_dirichlet(ScalarField.adopt(p.grid, rhs))
     gu = gradient(u_new)
     d_new = shrink_step(state.b, gu, p.F, p.a, lam)
     b_new = state.b + gu - d_new

@@ -13,6 +13,11 @@ Exit codes: 0 success, 1 usage/configuration error or a failed write, 2
 compute failure (non-convergence under --strict, or a sweep whose base solve
 did not converge).
 
+Each command runs with numpy's overflow and invalid-value warnings off.  A
+computation that overflows leaves an inf or nan, the field built from it
+raises NonFiniteFieldError, and stderr holds one line, ``gradflux: field
+contains non-finite values``, and no RuntimeWarning.
+
 Every CSV embeds the fully resolved configuration as '#' comment lines, so
 any run can be replayed from its own output.  Two invocations with the same
 configuration produce byte-identical files; nothing time- or path-dependent
@@ -79,15 +84,20 @@ def _write_rows(path: Path, comments, rows: list[SweepRow]) -> None:
     _write_csv(path, comments, REPORT_COLUMNS, lines)
 
 
-def _build_problem(cfg: RunConfig) -> tuple[ProblemData, ScalarField | None, ScalarField | None]:
+def _build_problem(
+    cfg: RunConfig, example: bool = True
+) -> tuple[ProblemData | None, ScalarField | None, ScalarField | None]:
     """The instance (a, F, H); the potential f of F = grad f, if an f_file
     gives it, which ``solve`` writes back and ``contour`` adds to u; and the
     u_file's field, if the command names one, checked against the instance.
 
-    A files run takes its grid from the files and records that n in cfg."""
+    A files run takes its grid from the files and records that n in cfg.
+    With example=False, an example1 run builds no instance and returns None
+    for it: a command that reads only the u_file asks for that."""
     potential = None
     if cfg.problem == "example1":
-        p = example1(GridSpec(cfg.n))
+        grid = GridSpec(cfg.n)
+        p = example1(grid) if example else None
     else:
         paths = {"a_file": cfg.a_file, "h_file": cfg.h_file, "f_file": cfg.f_file}
         a, h, potential = (
@@ -99,13 +109,14 @@ def _build_problem(cfg: RunConfig) -> tuple[ProblemData, ScalarField | None, Sca
         except ProblemDataError as exc:
             named = ", ".join(f"{key} {path}" for key, path in paths.items() if path is not None)
             raise UsageError(f"{exc} (field files: {named})") from None
+        grid = a.grid
         if cfg.n is None:
-            cfg.n = a.grid.n
-        elif cfg.n != a.grid.n:
-            raise UsageError(f"key 'n' = {cfg.n} does not match the field files' n={a.grid.n}")
+            cfg.n = grid.n
+        elif cfg.n != grid.n:
+            raise UsageError(f"key 'n' = {cfg.n} does not match the field files' n={grid.n}")
     u = None if cfg.u_file is None else read_field_meta(cfg.u_file)[0]
-    if u is not None and u.grid != p.grid:
-        raise UsageError(f"grid mismatch: u_file has n={u.grid.n}, problem has n={p.grid.n}")
+    if u is not None and u.grid != grid:
+        raise UsageError(f"grid mismatch: u_file has n={u.grid.n}, problem has n={grid.n}")
     return p, potential, u
 
 
@@ -221,8 +232,9 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 
 def _contour_field(cfg: RunConfig) -> ScalarField:
-    """v = u + f, the field whose level sets ``contour`` measures."""
-    p, potential, u = _build_problem(cfg)
+    """v = u + f, the field whose level sets ``contour`` measures; example1
+    is built only for its exact u, when no u_file is given."""
+    p, potential, u = _build_problem(cfg, example=cfg.u_file is None)
     u = p.exact_u if u is None else u
     return u if potential is None else u + potential
 
@@ -333,7 +345,9 @@ def main(argv=None) -> int:
         if not nearest.is_dir():
             raise UsageError(f"--out {out}: {nearest} exists and is not a directory")
         strict = [args.strict] if "strict" in args else []
-        return _COMMANDS[args.command](cfg, out, *strict)
+        # an overflow is reported once, by the field that rejects its inf or nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _COMMANDS[args.command](cfg, out, *strict)
     except (UsageError, FieldFormatError, ProblemDataError, NonFiniteFieldError,
             BaseNotConvergedError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)

@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .fieldio import fmt
-from .grid import ScalarField, VectorField, divergence, gradient, integrate, interior_l1
+from .grid import ScalarField, VectorField, divergence, gradient_arrays, integrate, interior_l1
 from .problems import ProblemData
 
 __all__ = [
@@ -73,18 +73,21 @@ class Certificate:
 
 
 def _drift_gradient(u: ScalarField, p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
-    """The two components of grad u + F, as new arrays."""
+    """The two components of grad u + F, as new arrays: F is added in place
+    to the two arrays of grad u."""
     if u.grid != p.grid:
         raise ValueError("fields live on different grids")
-    g = gradient(u)
-    return g.x.values + p.F.x.values, g.y.values + p.F.y.values
+    gx, gy = gradient_arrays(u)
+    gx += p.F.x.values
+    gy += p.F.y.values
+    return gx, gy
 
 
 def _energy(u: ScalarField, p: ProblemData, mag: np.ndarray) -> float:
     """Primal energy of u; overwrites mag, |grad u + F|, with the integrand."""
     integrand = np.multiply(p.a.values, mag, out=mag)
     integrand += p.H.values * u.values
-    return integrate(ScalarField(u.grid, integrand))
+    return integrate(ScalarField.adopt(u.grid, integrand))
 
 
 def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
@@ -96,12 +99,10 @@ def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
     mask = mag >= eta
     sigma = np.divide(p.a.values, mag, out=np.zeros_like(mag), where=mask)
     energy = _energy(u, p, mag)
-    # J is built in the arrays of grad u + F, each dropped once its field holds a copy
-    jx = ScalarField(p.grid, np.multiply(sigma, gx, out=gx))
-    del gx
-    jy = ScalarField(p.grid, np.multiply(sigma, gy, out=gy))
-    del gy
-    return FluxPair(VectorField(jx, jy), ScalarField(p.grid, sigma), mask, energy)
+    # J is built in the arrays of grad u + F, which its fields then hold
+    jx = ScalarField.adopt(p.grid, np.multiply(sigma, gx, out=gx))
+    jy = ScalarField.adopt(p.grid, np.multiply(sigma, gy, out=gy))
+    return FluxPair(VectorField(jx, jy), ScalarField.adopt(p.grid, sigma), mask, energy)
 
 
 def primal_energy(u: ScalarField, p: ProblemData) -> float:
@@ -115,7 +116,7 @@ def dual_value(J: VectorField, F: VectorField) -> float:
         raise ValueError("flux and drift live on different grids")
     dots = F.x.values * J.x.values
     dots += F.y.values * J.y.values
-    return integrate(ScalarField(J.grid, dots))
+    return integrate(ScalarField.adopt(J.grid, dots))
 
 
 def divergence_residual_l1(

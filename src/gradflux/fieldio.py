@@ -101,9 +101,12 @@ def read_field_meta(path) -> tuple[ScalarField, str, str]:
         )
     if first_non_finite is not None:
         raise FieldFormatError(first_non_finite)
-    arr = np.concatenate(rows)
+    # the field adopts the array the rows are joined into: a reshape would be
+    # a view, which it copies
+    values = np.empty((n + 1, n + 1))
+    np.concatenate(rows, out=values.reshape(-1))
     del rows  # hold one copy of the values
-    return ScalarField(GridSpec(n), arr.reshape(n + 1, n + 1)), kind, problem
+    return ScalarField.adopt(GridSpec(n), values), kind, problem
 
 
 def _float_tokens(path: Path, lineno: int, line: str) -> list[float]:

@@ -12,6 +12,15 @@ holds to machine precision in the h^2-weighted inner product over all nodes,
 and divergence(gradient(u)) reproduces the standard 5-point Laplacian at
 every interior node.  Both facts are what the Poisson step of the split
 Bregman iteration and the certification residuals rely on.
+
+A ScalarField never changes after construction.  It adopts, without a copy,
+an array that is float64, read-only and owns its memory: nothing else can
+write to it unless its holder flips the flag back, which the library's own
+producers never do.  Each producer here (``gradient``, ``divergence``, ``+``
+and ``-``, ``zeros``, ``full``) and in the other modules hands over a fresh
+array through ``ScalarField.adopt``.  Any other input, such as a writable
+array, a view, a broadcast or any other dtype, is copied.  Adopted arrays
+are still checked for shape and finiteness.
 """
 
 from __future__ import annotations
@@ -27,6 +36,7 @@ __all__ = [
     "ScalarField",
     "VectorField",
     "gradient",
+    "gradient_arrays",
     "divergence",
     "laplacian",
     "norm",
@@ -79,13 +89,21 @@ class NonFiniteFieldError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class ScalarField:
-    """Real values sampled at every node of a GridSpec."""
+    """Real values sampled at every node of a GridSpec, held read-only.
+
+    ``values`` is adopted as is when it is a float64 ndarray that is read-only
+    and owns its memory; anything else is copied into a new float64 array.
+    Either way the shape must match the grid and every value must be finite.
+    """
 
     grid: GridSpec
     values: np.ndarray
 
     def __post_init__(self):
-        v = np.array(self.values, dtype=float)
+        v = self.values
+        if not (type(v) is np.ndarray and v.dtype == np.float64
+                and not v.flags.writeable and v.flags.owndata):
+            v = np.array(v, dtype=float)
         if v.shape != self.grid.shape:
             raise ValueError(
                 f"field shape {v.shape} does not match grid shape {self.grid.shape}"
@@ -96,12 +114,20 @@ class ScalarField:
         object.__setattr__(self, "values", v)
 
     @staticmethod
+    def adopt(grid: GridSpec, values: np.ndarray) -> "ScalarField":
+        """The field of a fresh array the caller hands over and never writes
+        again: marked read-only, a float64 array that owns its memory is held
+        without a copy."""
+        values.setflags(write=False)
+        return ScalarField(grid, values)
+
+    @staticmethod
     def zeros(grid: GridSpec) -> "ScalarField":
-        return ScalarField(grid, np.zeros(grid.shape))
+        return ScalarField.adopt(grid, np.zeros(grid.shape))
 
     @staticmethod
     def full(grid: GridSpec, value: float) -> "ScalarField":
-        return ScalarField(grid, np.full(grid.shape, float(value)))
+        return ScalarField.adopt(grid, np.full(grid.shape, float(value)))
 
     @staticmethod
     def from_function(grid: GridSpec, fn) -> "ScalarField":
@@ -114,11 +140,11 @@ class ScalarField:
 
     def __add__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values + other.values)
+        return ScalarField.adopt(self.grid, self.values + other.values)
 
     def __sub__(self, other: "ScalarField") -> "ScalarField":
         _check_same_grid(self, other)
-        return ScalarField(self.grid, self.values - other.values)
+        return ScalarField.adopt(self.grid, self.values - other.values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -156,30 +182,48 @@ def _check_same_grid(a, b):
         raise ValueError("fields live on different grids")
 
 
-def gradient(u: ScalarField) -> VectorField:
-    """Forward-difference gradient with zero ghost values past the last row/column."""
+def gradient_arrays(u: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """The two components of gradient(u) as new writable arrays."""
     h = u.grid.h
     v = u.values
     gx = np.empty_like(v)
     gy = np.empty_like(v)
-    gx[:-1, :] = (v[1:, :] - v[:-1, :]) / h
-    gx[-1, :] = -v[-1, :] / h
-    gy[:, :-1] = (v[:, 1:] - v[:, :-1]) / h
-    gy[:, -1] = -v[:, -1] / h
-    return VectorField.from_arrays(u.grid, gx, gy)
+    # Each component takes its differences and ghost values in place, then is
+    # divided by h in one contiguous pass: (v[i+1] - v[i]) / h and -v / h, with
+    # the bits of those expressions and no full-grid temporary.  The ghost
+    # column is negated into a fresh array, not into the strided view: numpy
+    # 2.4.6 on AVX-512 gets np.negative(x, out=o) wrong at an 8-element stride.
+    np.subtract(v[1:, :], v[:-1, :], out=gx[:-1, :])
+    np.negative(v[-1, :], out=gx[-1, :])
+    gx /= h
+    np.subtract(v[:, 1:], v[:, :-1], out=gy[:, :-1])
+    gy[:, -1] = -v[:, -1]
+    gy /= h
+    return gx, gy
+
+
+def gradient(u: ScalarField) -> VectorField:
+    """Forward-difference gradient with zero ghost values past the last row/column."""
+    gx, gy = gradient_arrays(u)
+    return VectorField(ScalarField.adopt(u.grid, gx), ScalarField.adopt(u.grid, gy))
 
 
 def divergence(p: VectorField) -> ScalarField:
     """Backward-difference divergence, the exact negative adjoint of gradient."""
     h = p.grid.h
     px, py = p.x.values, p.y.values
+    # in place, then divided by h, as in gradient_arrays
     dx = np.empty_like(px)
+    np.subtract(px[1:, :], px[:-1, :], out=dx[1:, :])
+    dx[0, :] = px[0, :]
+    dx /= h
     dy = np.empty_like(py)
-    dx[1:, :] = (px[1:, :] - px[:-1, :]) / h
-    dx[0, :] = px[0, :] / h
-    dy[:, 1:] = (py[:, 1:] - py[:, :-1]) / h
-    dy[:, 0] = py[:, 0] / h
-    return ScalarField(p.grid, dx + dy)
+    np.subtract(py[:, 1:], py[:, :-1], out=dy[:, 1:])
+    dy[:, 0] = py[:, 0]
+    dy /= h
+    dx += dy
+    del dy
+    return ScalarField.adopt(p.grid, dx)
 
 
 def laplacian(u: ScalarField) -> ScalarField:

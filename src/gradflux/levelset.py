@@ -74,17 +74,22 @@ def _lengths(v: ScalarField, ts: np.ndarray) -> list[float]:
     vals, n, h = v.values, v.grid.n, v.grid.h
     # below[node] counts the levels t <= value; a cell crosses the levels
     # ts[first:first + count], where first and first + count are the min and
-    # max of below over its corners: some corner < t and some corner >= t
-    below = np.searchsorted(ts, vals, side="right")
+    # max of below over its corners: some corner < t and some corner >= t.
+    # The counts are kept in the smallest unsigned type that holds ts.size.
+    below = np.searchsorted(ts, vals, side="right").astype(np.min_scalar_type(ts.size))
     quad = [below[di:di + n, dj:dj + n] for di, dj in zip(_DI, _DJ)]
-    first = np.minimum(np.minimum(quad[0], quad[1]), np.minimum(quad[2], quad[3])).ravel()
-    count = np.maximum(np.maximum(quad[0], quad[1]), np.maximum(quad[2], quad[3])).ravel() - first
+    first = np.minimum(quad[0], quad[1])
+    np.minimum(first, np.minimum(quad[2], quad[3]), out=first)
+    count = np.maximum(quad[0], quad[1])
+    np.maximum(count, np.maximum(quad[2], quad[3]), out=count)
+    count -= first
     cells = np.flatnonzero(count)
-    reps = count[cells]
     # one key per (cell, level) pair, sorted level-major so that cells stay
-    # row-major within a level
+    # row-major within a level; the keys are intp
+    reps = count.ravel()[cells].astype(np.intp)
+    first = first.ravel()[cells].astype(np.intp)
     nn = n * n
-    key = np.repeat((first[cells] - np.cumsum(reps) + reps) * nn + cells, reps)
+    key = np.repeat((first - np.cumsum(reps) + reps) * nn + cells, reps)
     key += np.arange(0, key.size * nn, nn)
     key.sort()
     seg, per_level = [np.zeros(0)], np.zeros(ts.size, dtype=np.intp)

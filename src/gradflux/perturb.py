@@ -76,7 +76,7 @@ def noise_scalar(field: ScalarField, delta: float, seed: int) -> ScalarField:
     """Relative noise on one scalar field; exact identity at delta=0."""
     if delta == 0.0:
         return field
-    return ScalarField(field.grid, _noised(field.values, delta, seed))
+    return ScalarField.adopt(field.grid, _noised(field.values, delta, seed))
 
 
 def noise_vector(F: VectorField, delta: float, seed: int) -> VectorField:
@@ -100,9 +100,9 @@ def perturb_weight(a: ScalarField, epsilon: float, mode: str = "constant-shift")
     when n is even.  Works on any scalar field (also used for the forcing).
     """
     if mode == "constant-shift":
-        return ScalarField(a.grid, a.values + epsilon)
+        return ScalarField.adopt(a.grid, a.values + epsilon)
     if mode == "smooth-bump":
-        return ScalarField(a.grid, a.values + epsilon * _bump(a.grid))
+        return ScalarField.adopt(a.grid, a.values + epsilon * _bump(a.grid))
     raise ValueError(f"unknown perturbation mode {mode!r}")
 
 
@@ -149,7 +149,7 @@ def make_perturbed(
         H = scalar_op(H)
         sizes["H_linf"] = norm(base.H - H, "linf")
     if param in ("f", "combined"):
-        df = ScalarField(base.grid, epsilon * _bump(base.grid))
+        df = ScalarField.adopt(base.grid, epsilon * _bump(base.grid))
         dF = gradient(df)
         F = F + dF
         sizes["F_l1"] = norm(base.F - F, "l1")

@@ -64,4 +64,4 @@ class PoissonSolver:
         fh /= self._eigenvalues
         out = np.zeros(self.grid.shape)
         out[1:-1, 1:-1] = s @ fh @ s
-        return ScalarField(self.grid, out)
+        return ScalarField.adopt(self.grid, out)

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import GridSpec, ScalarField, VectorField, gradient
+from .grid import GridSpec, ScalarField, VectorField, gradient_arrays
 
 __all__ = ["ProblemData", "ProblemDataError", "example1"]
 
@@ -78,18 +78,17 @@ def example1(grid: GridSpec) -> ProblemData:
     u = x * y
     u *= 1.0 - x
     u *= 1.0 - y
-    # Each raw array is built in place and dropped once a field holds its
-    # copy, which keeps the peak to about seven (n+1)^2 arrays.
-    u = ScalarField(grid, u)
-    gu = gradient(u)
+    # Each array is built in place and handed to the field that holds it.
+    u = ScalarField.adopt(grid, u)
+    gx, gy = gradient_arrays(u)
     xy = x + y
-    # target gradient-plus-drift is (1, x+y)
-    F = VectorField(ScalarField(grid, 1.0 - gu.x.values), ScalarField(grid, xy - gu.y.values))
-    del gu
+    # target gradient-plus-drift is (1, x+y): F = (1 - gx, x+y - gy), in place
+    np.subtract(1.0, gx, out=gx)
+    np.subtract(xy, gy, out=gy)
+    F = VectorField(ScalarField.adopt(grid, gx), ScalarField.adopt(grid, gy))
     xy **= 2
     xy += 1.0
-    a = ScalarField(grid, np.sqrt(xy, out=xy))
-    del xy
+    a = ScalarField.adopt(grid, np.sqrt(xy, out=xy))
     return ProblemData(
         grid, a=a, F=F, H=ScalarField.full(grid, 1.0), exact_u=u, name="example1"
     )

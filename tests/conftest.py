@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -18,6 +19,21 @@ def same_row():
         return all(x == y or (math.isnan(x) and math.isnan(y)) for x, y in pairs)
 
     return same
+
+
+@pytest.fixture(scope="session")
+def traced_peak():
+    """The tracemalloc peak of a call, in bytes above what was allocated before it."""
+    def peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn()
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture(scope="session")

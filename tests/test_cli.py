@@ -558,6 +558,24 @@ class TestContourCommand:
         body = [l for l in text.splitlines() if not l.startswith("#")][1:]
         assert len(body) == 50
 
+    @pytest.mark.parametrize("u_n, code, err", [
+        (8, 0, ""),
+        (16, 1, "gradflux: grid mismatch: u_file has n=16, problem has n=8\n"),
+    ], ids=["same-grid", "grid-mismatch"])
+    def test_u_file_run_builds_no_example1(self, u_n, code, err, tmp_path, capsys, monkeypatch):
+        """The u_file is the field measured, so the example1 instance is never built."""
+        def no_example1(grid):
+            pytest.fail("contour built example1 although a u_file gives the field")
+
+        monkeypatch.setattr(gradflux.cli, "example1", no_example1)
+        u = example1(GridSpec(u_n)).exact_u
+        write_field(u, tmp_path / "u.field")
+        cfg = write_cfg(tmp_path / "c.cfg", problem="example1", n=8, u_file=tmp_path / "u.field")
+        out = tmp_path / "run"
+        assert main(["contour", "--config", cfg, "--out", str(out)]) == code
+        assert capsys.readouterr().err == err
+        assert (out / "contour.csv").exists() == (code == 0)
+
 
 def rewrite_line(path, index, edit):
     """Replace line `index` (from 0) of a text file by edit(line)."""
@@ -801,8 +819,9 @@ def write_interior_u(tmp_path, n, value):
 def test_overflow_exits_1_with_one_line(command, keys, tmp_path, capsys):
     cfg = write_cfg(tmp_path / "c.cfg", **keys(tmp_path))
     out = tmp_path / "o"
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+    # no errstate here: the CLI silences numpy's overflow warning itself, and
+    # pytest turns any RuntimeWarning into an error
+    assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == "gradflux: field contains non-finite values\n"
     assert not out.exists()
 

@@ -222,3 +222,11 @@ class TestWeakDuality:
         assert c1.dual == pytest.approx(c0.dual, rel=1e-9)
         assert c1.el_residual_l1 == pytest.approx(c0.el_residual_l1, rel=1e-6, abs=1e-9)
         assert c1.flux_bound_violation <= 1e-10
+
+
+def test_certify_peak_stays_bounded(traced_peak):
+    """certify holds grad u + F in two arrays, J in the same two, and at most
+    four more full-grid arrays (sigma, |grad u + F|, one product, a mask)."""
+    p = example1(GridSpec(200))
+    peak = traced_peak(lambda: certify(p.exact_u, p))
+    assert peak <= 6.0 * p.exact_u.values.nbytes

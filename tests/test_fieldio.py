@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,22 +217,12 @@ def test_streamed_write_matches_joined_text(tmp_path, n):
     assert path.read_bytes() == _joined_field_text(field, "u", "t").encode()
 
 
-def _traced_peak(fn):
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn()
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_read_and_write_peaks_stay_bounded(tmp_path):
+def test_read_and_write_peaks_stay_bounded(tmp_path, traced_peak):
     """Reading streams lines and holds one value array; writing streams rows."""
     field = example1(GridSpec(200)).exact_u
     path = tmp_path / "u.field"
-    write_peak = _traced_peak(lambda: write_field(field, path))
+    write_peak = traced_peak(lambda: write_field(field, path))
     size = path.stat().st_size
-    read_peak = _traced_peak(lambda: read_field_meta(path))
+    read_peak = traced_peak(lambda: read_field_meta(path))
     assert write_peak <= 0.1 * size
     assert read_peak <= 1.0 * size

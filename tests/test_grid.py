@@ -5,15 +5,20 @@ from hypothesis import strategies as st
 
 from gradflux import (
     GridSpec,
+    PoissonSolver,
     ScalarField,
     VectorField,
     divergence,
+    example1,
     gradient,
     inner,
     integrate,
     laplacian,
     norm,
+    shrink_step,
 )
+from gradflux.fieldio import read_field_meta, write_field
+from gradflux.grid import NonFiniteFieldError
 
 
 def random_interior_field(grid, rng):
@@ -190,6 +195,83 @@ class TestFields:
     def test_vector_components_share_grid(self):
         with pytest.raises(ValueError):
             VectorField(ScalarField.zeros(GridSpec(4)), ScalarField.zeros(GridSpec(5)))
+
+
+class TestOwnership:
+    """A field adopts a float64 array that is read-only and owns its memory,
+    and copies anything else."""
+
+    def test_writable_source_mutated_later_leaves_field_unchanged(self):
+        v = np.zeros((5, 5))
+        f = ScalarField(GridSpec(4), v)
+        v[2, 2] = 7.0
+        assert f.values is not v and f.values[2, 2] == 0.0
+
+    def test_read_only_owned_float64_array_is_adopted(self):
+        v = np.arange(25.0).reshape(5, 5).copy()
+        v.setflags(write=False)
+        assert ScalarField(GridSpec(4), v).values is v
+        w = np.ones((5, 5))
+        assert ScalarField.adopt(GridSpec(4), w).values is w and not w.flags.writeable
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(36.0).reshape(6, 6)[:5, :5],
+        lambda: np.ones(25).reshape(5, 5),
+        lambda: np.broadcast_to(np.arange(5.0), (5, 5)),
+        lambda: np.frombuffer(np.ones(25).tobytes()).reshape(5, 5),
+        lambda: np.ones((5, 5), dtype=int),
+        lambda: np.ones((5, 5), dtype=np.float32),
+        lambda: np.ones((5, 5), dtype=">f8"),
+    ], ids=["slice", "reshape", "broadcast_to", "frombuffer", "int",
+            "float32", "big-endian"])
+    def test_views_and_other_dtypes_are_copied(self, make):
+        v = make()
+        if v.flags.writeable:
+            v.setflags(write=False)
+        f = ScalarField(GridSpec(4), v)
+        assert f.values is not v and f.values.flags.owndata
+        assert f.values.dtype == np.float64 and not f.values.flags.writeable
+        np.testing.assert_array_equal(f.values, v)
+
+    def test_adopted_array_holding_nan_is_rejected(self):
+        v = np.zeros((5, 5))
+        v[1, 3] = np.nan
+        v.setflags(write=False)
+        with pytest.raises(NonFiniteFieldError):
+            ScalarField(GridSpec(4), v)
+        with pytest.raises(ValueError, match="shape"):
+            ScalarField.adopt(GridSpec(5), np.zeros((5, 5)))
+
+    def test_library_producers_hand_over_read_only_owned_arrays(self, tmp_path, monkeypatch):
+        g = GridSpec(6)
+        p = example1(g)
+        u, gu = p.exact_u, gradient(p.exact_u)
+        write_field(u, tmp_path / "u.field")
+        producers = {
+            "gradient": lambda: gradient(u),
+            "divergence": lambda: divergence(gu),
+            "solve_dirichlet": lambda: PoissonSolver(g).solve_dirichlet(p.H),
+            "shrink_step": lambda: shrink_step(gu, gu, p.F, p.a, 1.0),
+            "read_field_meta": lambda: read_field_meta(tmp_path / "u.field"),
+            "sum": lambda: u + u,
+            "difference": lambda: gu - gu,
+            "example1": lambda: example1(g),
+        }
+        handed = []
+        init = ScalarField.__init__
+
+        def spy(self, grid, values):
+            init(self, grid, values)
+            handed.append((values, self.values))
+
+        monkeypatch.setattr(ScalarField, "__init__", spy)
+        for name, make in producers.items():
+            handed.clear()
+            make()
+            assert handed, name
+            for given, held in handed:
+                assert held is given, name
+                assert held.flags.owndata and not held.flags.writeable, name
 
 
 class TestIntegrate:

@@ -164,3 +164,13 @@ def test_lengths_table_shape():
     table = level_set_lengths(v)
     assert len(table) == levelset.LEVELS == 50
     assert all(length >= 0.0 for _, length in table)
+
+
+def test_level_counts_are_small_integers(traced_peak):
+    """Beyond the field, a pass with few crossed cells holds one intp array of
+    the levels below each node and its 1-byte copy, min and max over cells."""
+    g = GridSpec(200)
+    v = np.zeros(g.shape)
+    v[100, 100] = 1.0
+    field = ScalarField(g, v)
+    assert traced_peak(lambda: level_set_lengths(field)) <= 1.5 * v.nbytes
