@@ -25,14 +25,17 @@ is written.
 
 ``_build_problem`` reads and checks every field file a command names.  Each
 command computes before it writes, and its first write creates --out;
-``plotdata`` reads and checks history.csv, solution.field and u_exact.field
-before it creates plots/.  So a refused run leaves no output directory, and
-no plots/, behind.
+``plotdata`` reads and checks history.csv, solution.field and u_exact.field,
+and that no file it writes under plots/ is a directory, before it creates
+plots/.  So a refused run leaves no output directory, and no plots/ or file
+in it, behind.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
+import os
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -161,6 +164,7 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
 
 def _cmd_certify(cfg: RunConfig, out: Path) -> int:
     p, _, u = _build_problem(cfg)
+    p = replace(p, exact_u=None)  # certify never reads it, so it is freed first
     if np.abs(u.boundary_values()).max() != 0.0:
         raise UsageError("solution in u_file must vanish on the boundary")
     _write_certificate(out, certify(u, p, cfg.eta), resolved_lines(cfg, "certify"))
@@ -281,7 +285,8 @@ def _write_surface(path: Path, field: ScalarField) -> None:
 
 
 def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
-    """Read and check every input, then create plots/ and write each file with its gnuplot lines."""
+    """Read and check every input and every target, then create plots/ and
+    write each file with its gnuplot lines."""
     history, solution, exact, plots = (
         out / name for name in ("history.csv", "solution.field", "u_exact.field", "plots")
     )
@@ -298,22 +303,31 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
         if ue is not None and ue.grid == u.grid:
             surfaces += [("exact", "exact solution", ue), ("error", "error", u - ue)]
 
-    plots.mkdir(exist_ok=True)
     script = ["# generated by gradflux plotdata; run with: gnuplot plot.gp"]
+    texts, fields = {}, {}  # file name under plots/ -> its text, or the field of a surface
     if rows is not None:
         for name, col, title, setup in (
             ("convergence", 1, "relative change", ["set logscale y", "set xlabel 'iteration'"]),
             ("energy", 2, "energy", ["unset logscale y"]),
         ):
-            text = "\n".join(f"{row[0]} {fmt(row[col])}" for row in rows) + "\n"
-            (plots / f"{name}.dat").write_text(text, encoding="utf-8")
+            texts[f"{name}.dat"] = "\n".join(f"{row[0]} {fmt(row[col])}" for row in rows) + "\n"
             plot = f"plot '{name}.dat' with lines title '{title}'"
             script += [*setup, f"set ylabel '{title}'", plot, "pause -1 'press enter'"]
     for name, title, field in surfaces:
-        _write_surface(plots / f"surface_{name}.dat", field)
+        fields[f"surface_{name}.dat"] = field
         splot = f"splot 'surface_{name}.dat' with pm3d title '{title}'"
         script += ["set xlabel 'x'", "set ylabel 'y'", splot, "pause -1 'press enter'"]
-    (plots / "plot.gp").write_text("\n".join(script) + "\n", encoding="utf-8")
+    texts["plot.gp"] = "\n".join(script) + "\n"
+    # a directory in the way of any file fails the run before its first write
+    for target in map(plots.joinpath, [*texts, *fields]):
+        if target.is_dir():
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+
+    plots.mkdir(exist_ok=True)
+    for name, text in texts.items():
+        (plots / name).write_text(text, encoding="utf-8")
+    for name, field in fields.items():
+        _write_surface(plots / name, field)
     return 0
 
 

@@ -38,6 +38,7 @@ __all__ = [
 
 
 ETA = 1e-8  # default degenerate-gradient safeguard
+_BLOCK = 1 << 14  # nodes per row block of the H u term in the energy
 
 
 def check_eta(eta: float) -> None:
@@ -84,9 +85,16 @@ def _drift_gradient(u: ScalarField, p: ProblemData) -> tuple[np.ndarray, np.ndar
 
 
 def _energy(u: ScalarField, p: ProblemData, mag: np.ndarray) -> float:
-    """Primal energy of u; overwrites mag, |grad u + F|, with the integrand."""
+    """Primal energy of u; overwrites mag, |grad u + F|, with the integrand.
+
+    H u is added in blocks of whole grid rows of at most _BLOCK nodes (a
+    single block while n < 128), so its scratch is a 128 KB product, not a
+    full-grid one; the sum is elementwise, so the bits are the same."""
     integrand = np.multiply(p.a.values, mag, out=mag)
-    integrand += p.H.values * u.values
+    h, v = p.H.values, u.values
+    rows = max(1, _BLOCK // integrand.shape[1])
+    for s in range(0, integrand.shape[0], rows):
+        integrand[s:s + rows] += h[s:s + rows] * v[s:s + rows]
     return integrate(ScalarField.adopt(u.grid, integrand))
 
 
@@ -130,16 +138,22 @@ def divergence_residual_l1(
 
 
 def certify(u: ScalarField, p: ProblemData, eta: float = ETA) -> Certificate:
-    """Assemble the optimality certificate for a candidate minimizer."""
+    """Assemble the optimality certificate for a candidate minimizer.
+
+    Only J, the mask and the energy are kept from the flux; sigma is released
+    before the dual, the residual and the bound excess are formed, and each
+    of those holds at most two full-grid arrays of its own at a time."""
     fp = flux(u, p, eta)
-    dual = dual_value(fp.J, p.F)
-    el_residual = divergence_residual_l1(fp.J, p.H, fp.mask)
-    excess = np.hypot(fp.J.x.values, fp.J.y.values)
+    J, mask, primal = fp.J, fp.mask, fp.energy
+    del fp  # frees sigma
+    dual = dual_value(J, p.F)
+    el_residual = divergence_residual_l1(J, p.H, mask)
+    excess = np.hypot(J.x.values, J.y.values)
     excess -= p.a.values
     return Certificate(
-        primal=fp.energy,
+        primal=primal,
         dual=dual,
-        gap=fp.energy - dual,
+        gap=primal - dual,
         el_residual_l1=el_residual,
         flux_bound_violation=float(np.maximum(excess, 0.0, out=excess).max()),
     )

@@ -36,8 +36,11 @@ _CROSSED = [
 ]
 _FIRST = np.array([edges[0] for edges in _CROSSED])
 _LAST = np.array([edges[-1] for edges in _CROSSED])
-# Pairs per block of the segment pass, which bounds its (4, pairs) temporaries.
-_BLOCK = 1 << 16
+# Pairs per block of the segment pass.  One block's temporaries, (4, pairs)
+# corner values and indices and the per-pair crossings, take about 1.2 MB,
+# one n=400 field; the blocks run in key order, so the segments and their
+# sums do not depend on the block size.
+_BLOCK = 1 << 13
 
 
 def _segments(vals: np.ndarray, h: float, i: np.ndarray, j: np.ndarray, t: np.ndarray):

@@ -60,31 +60,35 @@ def check_param_mode(param: str, mode: str) -> None:
         )
 
 
-def _noised(values: np.ndarray, delta: float, seed: int) -> np.ndarray:
-    """values + gamma R with gamma = delta |values|_F / |R|_F."""
+def _noise(values: np.ndarray, delta: float, seed: int) -> tuple[float, np.ndarray]:
+    """gamma and R of the noise on values: gamma = delta |values|_F / |R|_F."""
     if not (np.isfinite(delta) and delta >= 0):
         raise ProblemDataError(f"noise level must be nonnegative and finite, got {delta:g}")
     size = np.sqrt((values * values).sum())
     if size == 0.0:
         raise ProblemDataError("noise scale undefined for a zero field")
     r = np.random.default_rng(seed).standard_normal(values.shape)
-    gamma = delta * size / np.sqrt((r * r).sum())
-    return values + gamma * r
+    return delta * size / np.sqrt((r * r).sum()), r
 
 
 def noise_scalar(field: ScalarField, delta: float, seed: int) -> ScalarField:
     """Relative noise on one scalar field; exact identity at delta=0."""
     if delta == 0.0:
         return field
-    return ScalarField.adopt(field.grid, _noised(field.values, delta, seed))
+    gamma, r = _noise(field.values, delta, seed)
+    return ScalarField.adopt(field.grid, field.values + gamma * r)
 
 
 def noise_vector(F: VectorField, delta: float, seed: int) -> VectorField:
-    """Joint noise over both components: one R, one gamma for the stacked field."""
+    """Joint noise over both components: one R, one gamma for the stacked field.
+    Each component is noised on its own, into a fresh array its field holds."""
     if delta == 0.0:
         return F
-    x, y = _noised(np.stack([F.x.values, F.y.values]), delta, seed)
-    return VectorField.from_arrays(F.grid, x, y)
+    gamma, (rx, ry) = _noise(np.stack([F.x.values, F.y.values]), delta, seed)
+    return VectorField(
+        ScalarField.adopt(F.grid, F.x.values + gamma * rx),
+        ScalarField.adopt(F.grid, F.y.values + gamma * ry),
+    )
 
 
 def _bump(grid: GridSpec) -> np.ndarray:

@@ -839,6 +839,19 @@ def test_failed_write_exits_1_with_one_line(command, blocked, n12_run, tmp_path,
     cfg = write_cfg(tmp_path / "c.cfg", problem="example1", n=12, max_iter=2000)
     assert main([command, "--config", cfg, "--out", str(out)]) == 1
     assert capsys.readouterr().err == f"gradflux: {out / blocked}: cannot write (Is a directory)\n"
+    if command == "plotdata":  # every target is checked before the first write
+        assert [path.name for path in (out / "plots").iterdir()] == ["energy.dat"]
+
+
+def test_certify_cli_peak_stays_bounded(tmp_path, traced_peak):
+    """certify of example1 on a u_file holds a, F, H, the u read and the
+    certificate's working set, but not example1's exact u."""
+    u = example1(GridSpec(200)).exact_u
+    write_field(u, tmp_path / "u.field")
+    cfg = write_cfg(tmp_path / "c.cfg", problem="example1", n=200, u_file=tmp_path / "u.field")
+    args = ["certify", "--config", cfg, "--out", str(tmp_path / "o")]
+    assert traced_peak(lambda: main(args)) <= 11.0 * u.values.nbytes
+    assert (tmp_path / "o" / "certificate.txt").exists()
 
 
 class TestDeterminism:

@@ -19,6 +19,7 @@ from gradflux import (
 )
 from gradflux.fieldio import read_field_meta, write_field
 from gradflux.grid import NonFiniteFieldError
+from gradflux.perturb import apply_table1_noise
 
 
 def random_interior_field(grid, rng):
@@ -256,6 +257,7 @@ class TestOwnership:
             "sum": lambda: u + u,
             "difference": lambda: gu - gu,
             "example1": lambda: example1(g),
+            "apply_table1_noise": lambda: apply_table1_noise(p, 0.05, 3),
         }
         handed = []
         init = ScalarField.__init__

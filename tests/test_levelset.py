@@ -174,3 +174,10 @@ def test_level_counts_are_small_integers(traced_peak):
     v[100, 100] = 1.0
     field = ScalarField(g, v)
     assert traced_peak(lambda: level_set_lengths(field)) <= 1.5 * v.nbytes
+
+
+def test_many_crossed_cells_peak_stays_bounded(traced_peak):
+    """With every level crossing the grid, the (cell, level) keys, the segment
+    lengths and one block of the segment pass stay under ten fields."""
+    u = example1(GridSpec(200)).exact_u
+    assert traced_peak(lambda: level_set_lengths(u)) <= 10.0 * u.values.nbytes
