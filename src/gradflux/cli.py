@@ -11,7 +11,9 @@ Subcommands::
 
 Exit codes: 0 success, 1 usage/configuration error or a failed write, 2
 compute failure (non-convergence under --strict, or a sweep whose base solve
-did not converge).
+did not converge).  --strict changes only the exit code: a run that stops
+unconverged writes every output first, and its one ``gradflux: ...`` line
+naming what did not converge is printed with or without the flag.
 
 Each command runs with numpy's overflow and invalid-value warnings off.  A
 computation that overflows leaves an inf or nan, the field built from it
@@ -129,15 +131,7 @@ def _write_certificate(out: Path, cert: Certificate, comments) -> None:
     (out / "certificate.txt").write_text(cert.as_text(), encoding="utf-8")
 
 
-def _nonconvergence_status(failed: bool, message: str, strict: bool) -> int:
-    """Report non-convergence on stderr; it is fatal (exit 2) only under --strict."""
-    if not failed:
-        return 0
-    print(f"gradflux: {message}", file=sys.stderr)
-    return 2 if strict else 0
-
-
-def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
+def _cmd_solve(cfg: RunConfig, out: Path) -> str | None:
     p, potential, _ = _build_problem(cfg)
     exact = p.exact_u
     if cfg.delta != 0:
@@ -154,21 +148,16 @@ def _cmd_solve(cfg: RunConfig, out: Path, strict: bool) -> int:
     if exact is not None:
         write_field(exact, out / "u_exact.field", kind="u_exact", problem=p.name)
     _write_certificate(out, certify(res.state.u, p, cfg.eta), comments)
-
-    return _nonconvergence_status(
-        not res.converged,
-        f"solve stopped at max_iter={cfg.max_iter} without meeting tol={cfg.tol:g}",
-        strict,
-    )
+    if not res.converged:
+        return f"solve stopped at max_iter={cfg.max_iter} without meeting tol={cfg.tol:g}"
 
 
-def _cmd_certify(cfg: RunConfig, out: Path) -> int:
+def _cmd_certify(cfg: RunConfig, out: Path) -> None:
     p, _, u = _build_problem(cfg)
     p = replace(p, exact_u=None)  # certify never reads it, so it is freed first
     if np.abs(u.boundary_values()).max() != 0.0:
         raise UsageError("solution in u_file must vanish on the boundary")
     _write_certificate(out, certify(u, p, cfg.eta), resolved_lines(cfg, "certify"))
-    return 0
 
 
 def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]:
@@ -199,19 +188,16 @@ def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]
     return lines
 
 
-def _cmd_sweep(cfg: RunConfig, out: Path, strict: bool) -> int:
+def _cmd_sweep(cfg: RunConfig, out: Path) -> str | None:
     report = run_sweep(_build_problem(cfg)[0], cfg.sweep)
     unconverged = [f"eps = {fmt(r.eps)}, seed = {r.seed}" for r in report.rows if not r.valid]
     comments = resolved_lines(cfg, "sweep") + _sweep_summary(report, unconverged)
     _write_rows(out / "sweep.csv", comments, report.rows)
-    return _nonconvergence_status(
-        bool(unconverged),
-        f"{len(unconverged)} sweep row(s) did not converge: {'; '.join(unconverged)}",
-        strict,
-    )
+    if unconverged:
+        return f"{len(unconverged)} sweep row(s) did not converge: {'; '.join(unconverged)}"
 
 
-def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
+def _cmd_table1(cfg: RunConfig, out: Path) -> str | None:
     rows = table1_experiment(cfg.solver, seeds=cfg.seeds, n=cfg.n, deltas=cfg.deltas)
     comments = resolved_lines(cfg, "table1")
     comments.append(f"summary: replication = {cfg.n == 100}")
@@ -228,11 +214,8 @@ def _cmd_table1(cfg: RunConfig, out: Path, strict: bool) -> int:
     comments += [f"summary: not converged: {r}" for r in unconverged]
     comments.append("note: err_* columns apply to perturbation sweeps; table1 rows carry nan")
     _write_rows(out / "table1.csv", comments, rows)
-    return _nonconvergence_status(
-        bool(unconverged),
-        f"{len(unconverged)} table1 run(s) did not converge: {'; '.join(unconverged)}",
-        strict,
-    )
+    if unconverged:
+        return f"{len(unconverged)} table1 run(s) did not converge: {'; '.join(unconverged)}"
 
 
 def _contour_field(cfg: RunConfig) -> ScalarField:
@@ -243,14 +226,13 @@ def _contour_field(cfg: RunConfig) -> ScalarField:
     return u if potential is None else u + potential
 
 
-def _cmd_contour(cfg: RunConfig, out: Path) -> int:
+def _cmd_contour(cfg: RunConfig, out: Path) -> None:
     # the problem data is dropped before the level-set pass
     table = level_set_lengths(_contour_field(cfg))
     sup_len = max(length for _, length in table)
     comments = resolved_lines(cfg, "contour")
     comments.append(f"summary: sup_length = {fmt(sup_len)} over {len(table)} levels")
     _write_csv(out / "contour.csv", comments, ("t", "length"), table)
-    return 0
 
 
 def _read_history_csv(path: Path) -> list[tuple[int, float, float]]:
@@ -284,7 +266,7 @@ def _write_surface(path: Path, field: ScalarField) -> None:
             f.write("\n")
 
 
-def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
+def _cmd_plotdata(cfg: RunConfig, out: Path) -> None:
     """Read and check every input and every target, then create plots/ and
     write each file with its gnuplot lines."""
     history, solution, exact, plots = (
@@ -305,7 +287,7 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
 
     script = ["# generated by gradflux plotdata; run with: gnuplot plot.gp"]
     texts, fields = {}, {}  # file name under plots/ -> its text, or the field of a surface
-    if rows is not None:
+    if rows:  # a zero-iteration history has no curve to plot
         for name, col, title, setup in (
             ("convergence", 1, "relative change", ["set logscale y", "set xlabel 'iteration'"]),
             ("energy", 2, "energy", ["unset logscale y"]),
@@ -328,9 +310,9 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> int:
         (plots / name).write_text(text, encoding="utf-8")
     for name, field in fields.items():
         _write_surface(plots / name, field)
-    return 0
 
 
+# each command takes (cfg, out) and returns what did not converge, or None
 _COMMANDS = {
     "solve": _cmd_solve,
     "certify": _cmd_certify,
@@ -358,10 +340,9 @@ def main(argv=None) -> int:
         nearest = next(d for d in (out, *out.parents) if d.exists())
         if not nearest.is_dir():
             raise UsageError(f"--out {out}: {nearest} exists and is not a directory")
-        strict = [args.strict] if "strict" in args else []
         # an overflow is reported once, by the field that rejects its inf or nan
         with np.errstate(over="ignore", invalid="ignore"):
-            return _COMMANDS[args.command](cfg, out, *strict)
+            unconverged = _COMMANDS[args.command](cfg, out)
     except (UsageError, FieldFormatError, ProblemDataError, NonFiniteFieldError,
             BaseNotConvergedError) as exc:
         print(f"gradflux: {exc}", file=sys.stderr)
@@ -370,6 +351,10 @@ def main(argv=None) -> int:
         print(f"gradflux: {exc.filename or args.out}: cannot write ({exc.strerror or exc})",
               file=sys.stderr)
         return 1
+    if unconverged is None:
+        return 0
+    print(f"gradflux: {unconverged}", file=sys.stderr)
+    return 2 if args.strict else 0  # only the commands that have --strict can stop unconverged
 
 
 if __name__ == "__main__":

@@ -14,10 +14,21 @@ it also checks the explicit bounds
 
 with a 10% discretization allowance.  Each row records its own sigma1, the
 largest coefficient value on the base or the perturbed instance, and
-``sigma1_est`` is the largest over all rows.  ``table1_experiment``
-is the stochastic-noise robustness table: all three data fields are noised
-at levels delta in {0.01, 0.035, 0.06}, and its rows, which have no base,
-carry the errors against the known solution and nan in the sweep columns.
+``sigma1_est`` is the largest over all rows.  Rows whose solve did not
+converge are kept: they enter ``sigma1_est``, and with it the bound
+constants, and the excluded fraction, but no fit, shape check or bound ratio.
+Each column is averaged over seeds at each eps.  Its ``RateFit`` is the
+log-log least-squares line through the points with eps > 0 and value v > 0,
+when there are at least 2; its shape ratio, which exists with the fit, is
+v / eps^q at the smallest of those eps over v / eps^q at the largest.  A
+bound's ratio on a row with eps > 0 and F~ != F is its left side over its
+right side, with the row's sigma1 and |Omega| = 1; ``max_ratio`` is the
+largest, or 0.
+
+``table1_experiment`` is the stochastic-noise robustness table: all three
+data fields are noised at levels delta in {0.01, 0.035, 0.06}, and its rows,
+which have no base, carry the errors against the known solution and nan in
+the sweep columns.
 """
 
 from __future__ import annotations
@@ -198,11 +209,10 @@ def _misalignment(grid: GridSpec, J0, J1) -> float:
     return interior_l1(grid, np.maximum(integrand, 0.0))
 
 
-def _seed_averaged(rows: list[SweepRow], column: str) -> list[tuple[float, float]]:
+def _seed_averaged(valid: list[SweepRow], column: str) -> list[tuple[float, float]]:
     by_eps: dict[float, list[float]] = {}
-    for r in rows:
-        if r.valid:
-            by_eps.setdefault(r.eps, []).append(getattr(r, column))
+    for r in valid:
+        by_eps.setdefault(r.eps, []).append(getattr(r, column))
     return [(e, float(np.mean(v))) for e, v in sorted(by_eps.items(), reverse=True)]
 
 
@@ -210,69 +220,42 @@ def _positive(pts: list[tuple[float, float]]) -> list[tuple[float, float]]:
     return [(e, v) for e, v in pts if e > 0 and v > 0]
 
 
-def _fit_points(pts: list[tuple[float, float]]) -> RateFit | None:
-    positive = _positive(pts)
-    return fit_rate(positive) if len(positive) >= 2 else None
-
-
 def _shape_check(
     column: str, q: float, pts: list[tuple[float, float]], fit: RateFit | None
 ) -> ShapeCheck:
     """Monotonicity, slope and rate-normalised ratio of one seed-averaged column.
 
-    ``pts`` is sorted by decreasing eps and ``fit`` is its rate fit.
+    ``pts`` is sorted by decreasing eps and ``fit`` is its rate fit, which
+    exists exactly when ``pts`` has the 2 positive points the ratio needs.
     """
     vals = [v for _, v in pts]
     non_increasing = all(vals[i + 1] <= vals[i] + 1e-15 for i in range(len(vals) - 1))
-    slope = fit.slope if fit is not None else None
-    slope_ok = slope is not None and slope >= SLOPE_THRESHOLDS[q] - 1e-12
-    positive = _positive(pts)
-    if len(positive) >= 2:
-        e_large, v_large = positive[0]
-        e_small, v_small = positive[-1]
+    ratio = None
+    if fit is not None:
+        (e_large, v_large), *_, (e_small, v_small) = _positive(pts)
         ratio = (v_small / e_small ** q) / (v_large / e_large ** q)
-        ratio_ok = ratio <= 1.5
-    else:
-        ratio, ratio_ok = None, True
     return ShapeCheck(
-        column=column,
-        q=q,
-        slope=slope,
-        slope_ok=slope_ok,
-        non_increasing=non_increasing,
-        ratio=ratio,
-        ratio_ok=ratio_ok,
+        column, q, slope=None if fit is None else fit.slope,
+        slope_ok=fit is not None and fit.slope >= SLOPE_THRESHOLDS[q] - 1e-12,
+        non_increasing=non_increasing, ratio=ratio, ratio_ok=ratio is None or ratio <= 1.5,
     )
 
 
-def _drift_bounds(rows: list[SweepRow], M: float, sigma1: float) -> list[BoundCheck]:
-    """Explicit-constant checks for conservative drift perturbations."""
-    ratios = {"energy_vs_drift": [], "misalignment_vs_drift": [], "flux_vs_drift_sqrt": []}
-    for r in rows:
-        dF = r.measured_sizes["F_l1"]
-        if not r.valid or r.eps == 0 or not dF:
-            continue
-        ratios["energy_vs_drift"].append(r.energy_diff / (M * dF))
-        ratios["misalignment_vs_drift"].append(r.misalignment / (2.0 * M * r.sigma1 * dF))
-        ratios["flux_vs_drift_sqrt"].append(
-            r.err_J_l1 / (np.sqrt(4.0 * M * r.sigma1 * 1.0) * np.sqrt(dF))
-        )
-    constants = {
-        "energy_vs_drift": M,
-        "misalignment_vs_drift": 2.0 * M * sigma1,
-        "flux_vs_drift_sqrt": float(np.sqrt(4.0 * M * sigma1)),
-    }
+def _drift_bounds(valid: list[SweepRow], M: float, sigma1: float) -> list[BoundCheck]:
+    """Explicit-constant checks for conservative drift perturbations, one
+    (name, constant, ratio on a row with drift size dF) per bound."""
+    table = (
+        ("energy_vs_drift", M, lambda r, dF: r.energy_diff / (M * dF)),
+        ("misalignment_vs_drift", 2.0 * M * sigma1,
+         lambda r, dF: r.misalignment / (2.0 * M * r.sigma1 * dF)),
+        ("flux_vs_drift_sqrt", float(np.sqrt(4.0 * M * sigma1)),
+         lambda r, dF: r.err_J_l1 / (np.sqrt(4.0 * M * r.sigma1 * 1.0) * np.sqrt(dF))),
+    )
+    drifted = [(r, dF) for r in valid if r.eps != 0 and (dF := r.measured_sizes["F_l1"])]
     checks = []
-    for name, rs in ratios.items():
-        worst = max(rs) if rs else 0.0
-        checks.append(
-            BoundCheck(
-                name=name,
-                holds=worst <= 1.0 + BOUND_SLACK,
-                max_ratio=float(worst),
-                constant=constants[name],
-            )
-        )
+    for name, constant, ratio in table:
+        worst = max((ratio(r, dF) for r, dF in drifted), default=0.0)
+        checks.append(BoundCheck(name, worst <= 1.0 + BOUND_SLACK, float(worst), constant))
     return checks
 
 
@@ -354,8 +337,10 @@ def run_sweep(
     cannot be perturbed is rejected without solver work.  Gradient and
     coefficient differences are restricted to nodes unmasked in both flux
     constructions; the excluded fraction is recorded per row.  Rows whose
-    inner solve fails to converge are kept but marked invalid and excluded
-    from fits and bound checks.
+    inner solve fails to converge are kept but marked invalid: the fits,
+    shape checks and bound ratios read the converged rows only, while
+    ``sigma1_est``, the bound constants and the excluded fraction the
+    summary reports read every row.
     """
     seeds: tuple[int | None, ...] = spec.seeds if spec.mode == "noise" else (None,)
     instances = []
@@ -368,21 +353,20 @@ def run_sweep(
     if not base.converged:
         raise BaseNotConvergedError("base solve did not converge; cannot anchor the sweep")
     rows = _solve_instances(instances, spec.solver, poisson, p.exact_u, (p, base), spec.eta)
-    averaged = {col: _seed_averaged(rows, col) for col in SWEEP_COLUMNS}
-    fits = {col: _fit_points(pts) for col, pts in averaged.items()}
+    valid = [r for r in rows if r.valid]
+    averaged = {col: _seed_averaged(valid, col) for col in SWEEP_COLUMNS}
+    fits = {
+        col: fit_rate(positive) if len(positive := _positive(pts)) >= 2 else None
+        for col, pts in averaged.items()
+    }
     shapes = {
         col: _shape_check(col, q, averaged[col], fits[col])
         for col, q in RATE_EXPONENTS.items()
     }
     sigma1 = max((r.sigma1 for r in rows), default=0.0)
-    bounds = _drift_bounds(rows, p.M, sigma1) if spec.param == "f" else []
+    bounds = _drift_bounds(valid, p.M, sigma1) if spec.param == "f" else []
     return StabilityReport(
-        rows=rows,
-        fits=fits,
-        bounds=bounds,
-        shapes=shapes,
-        sigma1_est=sigma1,
-        base_result=base,
+        rows=rows, fits=fits, bounds=bounds, shapes=shapes, sigma1_est=sigma1, base_result=base
     )
 
 

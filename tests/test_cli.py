@@ -455,8 +455,10 @@ class TestSweepCommand:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
         assert "gradflux: noise scale undefined for a zero field" in capsys.readouterr().err
 
-    def test_unconverged_rows_named(self, tmp_path, capsys):
-        # the base solve converges within 500 iterations at n=8; the noised rows do not
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unconverged_rows_named(self, tmp_path, capsys, strict):
+        # the base solve converges within 500 iterations at n=8; the noised rows do not;
+        # --strict changes the exit code only: the CSV is written in full either way
         cfg = write_cfg(
             tmp_path / "sweep.cfg",
             problem="example1",
@@ -468,9 +470,11 @@ class TestSweepCommand:
             max_iter=500,
         )
         out = tmp_path / "run"
-        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 0
+        argv = ["sweep", "--config", cfg, "--out", str(out)] + ["--strict"] * strict
+        assert main(argv) == (2 if strict else 0)
         named = ["eps = 0.040000000000000001, seed = 0", "eps = 0.02, seed = 0"]
         lines = (out / "sweep.csv").read_text().splitlines()
+        assert len([l for l in lines if not l.startswith("#")]) == 3  # header + 2 rows
         assert [l for l in lines if "not converged" in l] == [
             f"# summary: not converged, excluded from fits and bounds: {r}" for r in named
         ]
@@ -527,17 +531,21 @@ class TestTable1Command:
                 [fmt(r.eps), fmt(r.seed), *["nan"] * 6, fmt(r.iters), fmt(r.rel_l2)]
             )
 
-    def test_unconverged_runs_named(self, tmp_path, capsys):
+    @pytest.mark.parametrize("strict", [False, True])
+    def test_unconverged_runs_named(self, tmp_path, capsys, strict):
         # at n=8 and delta 0.06, seed 0 stops by tolerance after 261 iterations
-        # and seed 1 runs to max_iter = 500; at max_iter = 1000 both converge
+        # and seed 1 runs to max_iter = 500; at max_iter = 1000 both converge;
+        # --strict changes the exit code only: the CSV is written in full either way
         run = "delta = 0.059999999999999998, seed = 1"
         for max_iter, named in ((500, [run]), (1000, [])):
             cfg = write_cfg(
                 tmp_path / "t1.cfg", n=8, deltas="0.06", seeds="0, 1", max_iter=max_iter
             )
             out = tmp_path / f"run{max_iter}"
-            assert main(["table1", "--config", cfg, "--out", str(out)]) == 0
+            argv = ["table1", "--config", cfg, "--out", str(out)] + ["--strict"] * strict
+            assert main(argv) == (2 if strict and named else 0)
             lines = (out / "table1.csv").read_text().splitlines()
+            assert len([l for l in lines if not l.startswith("#")]) == 3  # header + 2 rows
             assert [l for l in lines if "not converged" in l] == [
                 f"# summary: not converged: {r}" for r in named
             ]
@@ -662,6 +670,18 @@ class TestPlotdataCommand:
             lines += [f"{x:.17g} {y:.17g} {u.values[i, j]:.17g}" for j, y in enumerate(ax)]
             lines.append("")
         assert (plots / "surface_solution.dat").read_text() == "\n".join(lines) + "\n"
+
+    def test_zero_iteration_history_writes_no_curves(self, tmp_path):
+        # a header-only history.csv has no curve: an empty .dat would stop gnuplot
+        cfg = write_cfg(tmp_path / "solve.cfg", problem="example1", n=12, max_iter=0)
+        out = tmp_path / "run"
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert main(["plotdata", "--config", cfg, "--out", str(out)]) == 0
+        plots = out / "plots"
+        surfaces = {f"surface_{name}.dat" for name in ("solution", "exact", "error")}
+        assert {f.name for f in plots.iterdir()} == {"plot.gp", *surfaces}
+        script = (plots / "plot.gp").read_text().splitlines()
+        assert [l for l in script if l.startswith("plot ")] == []  # only splot lines
 
     def test_keys_it_does_not_read_are_not_range_checked(self, tmp_path):
         # 'problem = files' without its field files would fail every other command

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,7 +23,7 @@ from gradflux import (
     solve,
     table1_experiment,
 )
-from gradflux.stability import SWEEP_COLUMNS
+from gradflux.stability import BOUND_SLACK, RATE_EXPONENTS, SLOPE_THRESHOLDS, SWEEP_COLUMNS
 
 FAST = SolverConfig(tol=1e-7, max_iter=4000)
 
@@ -226,6 +228,71 @@ def test_conservative_drift_sweep_matches_closed_form():
         assert row.err_J_l1 <= 1e-3 * row.err_u_l1
         assert row.err_sigma_l1 <= 1e-2 * row.err_u_l1
         assert row.misalignment <= 1e-9
+
+
+def test_report_numbers_follow_their_formulas(monkeypatch):
+    """Every fit, shape and bound value of an f sweep, recomputed from its rows
+    with the formulas of the module docstring.  The eps = 0.02 solve stops at
+    30 iterations and reports converged=False: it enters sigma1_est, and with
+    it the bound constants, and no fit, shape or bound ratio."""
+    g = GridSpec(16)
+    p = example1(g)
+    poisson = PoissonSolver(g)
+    base = solve(p, FAST, poisson)
+
+    def capped_at_002(instance, cfg, poisson):
+        if not instance.name.endswith("eps = 0.02"):
+            return solve(instance, cfg, poisson)
+        return replace(solve(instance, replace(cfg, max_iter=30), poisson), converged=False)
+
+    monkeypatch.setattr(gradflux.stability, "solve", capped_at_002)
+    spec = SweepSpec(param="f", epsilons=(0.04, 0.02, 0.01), solver=FAST)
+    report = run_sweep(p, spec, poisson, base=base)
+    rows = report.rows
+    assert [(r.eps, r.valid) for r in rows] == [(0.04, True), (0.02, False), (0.01, True)]
+    capped, valid = rows[1], [rows[0], rows[2]]
+
+    def close(x):
+        return pytest.approx(x, rel=1e-12, abs=0)
+
+    for col in SWEEP_COLUMNS:  # least squares on (log eps, log v) over the converged rows
+        x = np.log([r.eps for r in valid])
+        y = np.log([getattr(r, col) for r in valid])
+        slope = ((x - x.mean()) * (y - y.mean())).sum() / ((x - x.mean()) ** 2).sum()
+        fit = report.fits[col]
+        assert (fit.slope, fit.intercept) == (close(slope), close(y.mean() - slope * x.mean()))
+        assert fit.points_used == 2  # the capped row is not a point
+    for col, q in RATE_EXPONENTS.items():
+        (e_large, v_large), (e_small, v_small) = [(r.eps, getattr(r, col)) for r in valid]
+        shape = report.shapes[col]
+        assert shape.slope == close(report.fits[col].slope)
+        assert shape.slope_ok == (shape.slope >= SLOPE_THRESHOLDS[q] - 1e-12)
+        assert shape.ratio == close((v_small / e_small**q) / (v_large / e_large**q))
+        assert shape.ratio_ok == (shape.ratio <= 1.5)
+        assert shape.non_increasing == (v_small <= v_large + 1e-15)
+
+    # sigma1_est reads every row, and the capped row holds its largest sigma1
+    sigma1, M = report.sigma1_est, p.M
+    assert sigma1 == max(r.sigma1 for r in rows) == capped.sigma1 > max(r.sigma1 for r in valid)
+    formulas = {
+        "energy_vs_drift": (M, lambda r, dF: r.energy_diff / (M * dF)),
+        "misalignment_vs_drift": (
+            2 * M * sigma1,
+            lambda r, dF: r.misalignment / (2 * M * r.sigma1 * dF),
+        ),
+        "flux_vs_drift_sqrt": (
+            np.sqrt(4 * M * sigma1),
+            lambda r, dF: r.err_J_l1 / np.sqrt(4 * M * r.sigma1 * dF),
+        ),
+    }
+    assert [b.name for b in report.bounds] == list(formulas)
+    for b in report.bounds:
+        constant, ratio = formulas[b.name]
+        worst = max(ratio(r, r.measured_sizes["F_l1"]) for r in valid)
+        assert (b.constant, b.max_ratio) == (close(constant), close(worst))
+        assert b.holds == (b.max_ratio <= 1 + BOUND_SLACK)
+        if b.name != "energy_vs_drift":  # the capped row would have raised these two
+            assert ratio(capped, capped.measured_sizes["F_l1"]) > 10 * b.max_ratio
 
 
 class TestTable1Small:
