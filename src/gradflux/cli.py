@@ -147,7 +147,7 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> str | None:
         write_field(potential, out / "f.field", kind="f", problem=p.name)
     if exact is not None:
         write_field(exact, out / "u_exact.field", kind="u_exact", problem=p.name)
-    _write_certificate(out, certify(res.state.u, p, cfg.eta), comments)
+    _write_certificate(out, certify(res.state.u, p), comments)
     if not res.converged:
         return f"solve stopped at max_iter={cfg.max_iter} without meeting tol={cfg.tol:g}"
 
@@ -157,7 +157,7 @@ def _cmd_certify(cfg: RunConfig, out: Path) -> None:
     p = replace(p, exact_u=None)  # certify never reads it, so it is freed first
     if np.abs(u.boundary_values()).max() != 0.0:
         raise UsageError("solution in u_file must vanish on the boundary")
-    _write_certificate(out, certify(u, p, cfg.eta), resolved_lines(cfg, "certify"))
+    _write_certificate(out, certify(u, p), resolved_lines(cfg, "certify"))
 
 
 def _sweep_summary(report: StabilityReport, unconverged: list[str]) -> list[str]:

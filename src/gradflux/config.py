@@ -22,7 +22,6 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .bregman import SolverConfig
-from .duality import ETA
 from .fieldio import fmt
 from .grid import GridSpec
 from .stability import TABLE1_DELTAS, SweepSpec
@@ -40,7 +39,6 @@ class RunConfig:
     lam: float = SolverConfig.lam
     tol: float = SolverConfig.tol
     max_iter: int = SolverConfig.max_iter
-    eta: float = ETA
     delta: float = 0.0
     deltas: tuple[float, ...] = TABLE1_DELTAS
     seeds: tuple[int, ...] = tuple(range(10))
@@ -59,7 +57,7 @@ class RunConfig:
 
     @property
     def sweep(self) -> SweepSpec:
-        return SweepSpec(self.param, self.epsilons, self.mode, self.seeds, self.solver, self.eta)
+        return SweepSpec(self.param, self.epsilons, self.mode, self.seeds, self.solver)
 
 
 # Config keys are the RunConfig field names; 'lambda' is a Python keyword.
@@ -71,9 +69,9 @@ _TYPES = get_type_hints(RunConfig)
 _PROBLEM_KEYS = ("problem", "a_file", "f_file", "h_file")
 
 ALLOWED_KEYS = {
-    "solve": ("n", "lambda", "tol", "max_iter", "eta", "delta", "seeds") + _PROBLEM_KEYS,
-    "certify": ("n", "eta", "u_file") + _PROBLEM_KEYS,
-    "sweep": ("n", "lambda", "tol", "max_iter", "eta", "param", "epsilons", "mode", "seeds")
+    "solve": ("n", "lambda", "tol", "max_iter", "delta", "seeds") + _PROBLEM_KEYS,
+    "certify": ("n", "u_file") + _PROBLEM_KEYS,
+    "sweep": ("n", "lambda", "tol", "max_iter", "param", "epsilons", "mode", "seeds")
     + _PROBLEM_KEYS,
     "table1": ("n", "lambda", "tol", "max_iter", "deltas", "seeds", "problem"),
     "contour": ("n", "u_file") + _PROBLEM_KEYS,

@@ -9,7 +9,7 @@ a computed solution is from those identities; a large gap is a finding
 about the solution, not an error.  ``FluxPair.energy``, the primal energy
 of u from the same |grad u + F|, is the primal value ``certify`` reports.
 
-Nodes where |grad u + F| falls below the safeguard eta are masked out:
+Nodes where |grad u + F| falls below the safeguard ``ETA`` are masked out:
 sigma and J are set to zero there and the certification residual skips any
 interior node whose divergence stencil touches a masked node.
 """
@@ -26,7 +26,6 @@ from .problems import ProblemData
 
 __all__ = [
     "ETA",
-    "check_eta",
     "FluxPair",
     "Certificate",
     "flux",
@@ -37,14 +36,8 @@ __all__ = [
 ]
 
 
-ETA = 1e-8  # default degenerate-gradient safeguard
+ETA = 1e-8  # degenerate-gradient safeguard of the flux mask
 _BLOCK = 1 << 14  # nodes per row block of the H u term in the energy
-
-
-def check_eta(eta: float) -> None:
-    """Reject a safeguard that is not finite and positive."""
-    if not (np.isfinite(eta) and eta > 0):
-        raise ValueError("eta must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,13 +91,12 @@ def _energy(u: ScalarField, p: ProblemData, mag: np.ndarray) -> float:
     return integrate(ScalarField.adopt(u.grid, integrand))
 
 
-def flux(u: ScalarField, p: ProblemData, eta: float = ETA) -> FluxPair:
-    """Build J = sigma (grad u + F), masking nodes with |grad u + F| < eta,
+def flux(u: ScalarField, p: ProblemData) -> FluxPair:
+    """Build J = sigma (grad u + F), masking nodes with |grad u + F| < ETA,
     and the primal energy of u from the same |grad u + F|."""
-    check_eta(eta)
     gx, gy = _drift_gradient(u, p)
     mag = np.hypot(gx, gy)
-    mask = mag >= eta
+    mask = mag >= ETA
     sigma = np.divide(p.a.values, mag, out=np.zeros_like(mag), where=mask)
     energy = _energy(u, p, mag)
     # J is built in the arrays of grad u + F, which its fields then hold
@@ -137,13 +129,13 @@ def divergence_residual_l1(
     return interior_l1(J.grid, np.abs(r, out=r), ok)
 
 
-def certify(u: ScalarField, p: ProblemData, eta: float = ETA) -> Certificate:
+def certify(u: ScalarField, p: ProblemData) -> Certificate:
     """Assemble the optimality certificate for a candidate minimizer.
 
     Only J, the mask and the energy are kept from the flux; sigma is released
     before the dual, the residual and the bound excess are formed, and each
     of those holds at most two full-grid arrays of its own at a time."""
-    fp = flux(u, p, eta)
+    fp = flux(u, p)
     J, mask, primal = fp.J, fp.mask, fp.energy
     del fp  # frees sigma
     dual = dual_value(J, p.F)

@@ -15,8 +15,9 @@ it also checks the explicit bounds
 with a 10% discretization allowance.  Each row records its own sigma1, the
 largest coefficient value on the base or the perturbed instance, and
 ``sigma1_est`` is the largest over all rows.  Rows whose solve did not
-converge are kept: they enter ``sigma1_est``, and with it the bound
-constants, and the excluded fraction, but no fit, shape check or bound ratio.
+converge are kept: they enter ``sigma1_est`` and the excluded fraction, but
+no fit, shape check or bound; a bound's constant, like its ratios, takes
+sigma1 from the converged rows.
 Each column is averaged over seeds at each eps.  Its ``RateFit`` is the
 log-log least-squares line through the points with eps > 0 and value v > 0,
 when there are at least 2; its shape ratio, which exists with the fit, is
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bregman import SolveResult, SolverConfig, solve
-from .duality import ETA, check_eta, flux
+from .duality import flux
 from .grid import GridSpec, ScalarField, gradient, interior_l1, norm
 from .perturb import apply_table1_noise, check_param_mode, make_perturbed
 from .poisson import PoissonSolver
@@ -100,11 +101,9 @@ class SweepSpec:
     mode: str = "constant-shift"
     seeds: tuple[int, ...] = ()
     solver: SolverConfig = field(default_factory=SolverConfig)
-    eta: float = ETA
 
     def __post_init__(self):
         check_param_mode(self.param, self.mode)
-        check_eta(self.eta)
         eps = tuple(float(e) for e in self.epsilons)
         if not eps:
             raise ValueError("epsilon list must not be empty")
@@ -241,9 +240,10 @@ def _shape_check(
     )
 
 
-def _drift_bounds(valid: list[SweepRow], M: float, sigma1: float) -> list[BoundCheck]:
+def _drift_bounds(valid: list[SweepRow], M: float) -> list[BoundCheck]:
     """Explicit-constant checks for conservative drift perturbations, one
     (name, constant, ratio on a row with drift size dF) per bound."""
+    sigma1 = max((r.sigma1 for r in valid), default=0.0)
     table = (
         ("energy_vs_drift", M, lambda r, dF: r.energy_diff / (M * dF)),
         ("misalignment_vs_drift", 2.0 * M * sigma1,
@@ -265,7 +265,6 @@ def _solve_instances(
     poisson: PoissonSolver,
     exact_u: ScalarField | None,
     base: tuple[ProblemData, SolveResult] | None = None,
-    eta: float = ETA,
 ) -> list[SweepRow]:
     """Solve each (eps, seed, instance, measured sizes) in order, one row each.
 
@@ -278,7 +277,7 @@ def _solve_instances(
         base_problem, base_result = base
         u0 = base_result.state.u
         g0 = gradient(u0)
-        base_flux = flux(u0, base_problem, eta)
+        base_flux = flux(u0, base_problem)
         sigma0 = base_flux.sigma.values.max(initial=0.0)
 
     def against_base(instance: ProblemData, u1: ScalarField) -> dict[str, float]:
@@ -286,7 +285,7 @@ def _solve_instances(
             return dict.fromkeys((*SWEEP_COLUMNS, "excluded_fraction", "sigma1"), float("nan"))
         grid = instance.grid
         g1 = gradient(u1)
-        new_flux = flux(u1, instance, eta)
+        new_flux = flux(u1, instance)
         joint = base_flux.mask & new_flux.mask
         grad_diff = np.hypot(g0.x.values - g1.x.values, g0.y.values - g1.y.values)
         sigma_diff = np.abs(base_flux.sigma.values - new_flux.sigma.values)
@@ -338,9 +337,9 @@ def run_sweep(
     coefficient differences are restricted to nodes unmasked in both flux
     constructions; the excluded fraction is recorded per row.  Rows whose
     inner solve fails to converge are kept but marked invalid: the fits,
-    shape checks and bound ratios read the converged rows only, while
-    ``sigma1_est``, the bound constants and the excluded fraction the
-    summary reports read every row.
+    shape checks and bounds, constants included, read the converged rows
+    only, while ``sigma1_est`` and the excluded fraction the summary reports
+    read every row.
     """
     seeds: tuple[int | None, ...] = spec.seeds if spec.mode == "noise" else (None,)
     instances = []
@@ -352,7 +351,7 @@ def run_sweep(
     base = base or solve(p, spec.solver, poisson)
     if not base.converged:
         raise BaseNotConvergedError("base solve did not converge; cannot anchor the sweep")
-    rows = _solve_instances(instances, spec.solver, poisson, p.exact_u, (p, base), spec.eta)
+    rows = _solve_instances(instances, spec.solver, poisson, p.exact_u, (p, base))
     valid = [r for r in rows if r.valid]
     averaged = {col: _seed_averaged(valid, col) for col in SWEEP_COLUMNS}
     fits = {
@@ -364,7 +363,7 @@ def run_sweep(
         for col, q in RATE_EXPONENTS.items()
     }
     sigma1 = max((r.sigma1 for r in rows), default=0.0)
-    bounds = _drift_bounds(valid, p.M, sigma1) if spec.param == "f" else []
+    bounds = _drift_bounds(valid, p.M) if spec.param == "f" else []
     return StabilityReport(
         rows=rows, fits=fits, bounds=bounds, shapes=shapes, sigma1_est=sigma1, base_result=base
     )

@@ -97,7 +97,7 @@ def test_criterion_1_table1_replication(table1_rows):
 
 def test_criterion_2_duality_certification(prob100, solved100):
     failures = []
-    cert = certify(solved100.state.u, prob100, eta=1e-8)
+    cert = certify(solved100.state.u, prob100)
     target = 79.0 / 36.0
     gap_rel = abs(cert.gap) / cert.primal
     el_rel = cert.el_residual_l1 / norm(prob100.H, "l1")

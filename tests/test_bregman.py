@@ -373,6 +373,27 @@ def test_split_bregman_and_pdhg_certify_the_same_noised_minimizer():
     assert norm(state.u - u_pdhg, "l2") <= 1e-3 * norm(u_pdhg, "l2")
 
 
+def test_criterion_1_instances_certify_above_their_bands(prob100, psolver100):
+    # criterion 1's seed-0 instances, lambda-b-certified at lambda = 0.25 (3950,
+    # 1950 and 1850 iterations as measured): their exact discrete minimizers
+    # lie above each band's upper edge, 1.5 x the reference mean, so the
+    # criterion's failure is the experiment's, not the solver's stop
+    upper = {0.01: 1.5 * 0.0260, 0.035: 1.5 * 0.0978, 0.06: 1.5 * 0.1718}
+    cfg = SolverConfig(lam=0.25)
+    exact = prob100.exact_u
+    for delta, edge in upper.items():
+        p = apply_table1_noise(prob100, delta, 0)
+        state = SolverState.initial(p.grid)
+        for _ in range(100):
+            for _ in range(50):
+                state = iterate(state, p, cfg, psolver100)
+            if dual_certified(state.u, lam_b(state, cfg.lam), p):
+                break
+        else:
+            pytest.fail(f"delta = {delta}: lambda b did not certify within 5000 iterations")
+        assert norm(state.u - exact, "l2") / norm(exact, "l2") > edge
+
+
 def heisenberg(n):
     """The p-area of a graph over the square in the Heisenberg group (Cheng,
     Hwang, Malchiodi & Yang 2005), centred: a = 1, F = (-(y - 1/2), x - 1/2),

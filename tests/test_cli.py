@@ -42,9 +42,16 @@ class TestConfigParsing:
         assert cfg.lam == 1.0
         assert cfg.tol == 1e-7
 
-    def test_unknown_key_rejected(self):
-        with pytest.raises(UsageError, match="unknown config key 'foo'"):
-            build_config({"foo": "1"}, "solve")
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        # 'eta' names no key: the flux safeguard is the constant duality.ETA
+        for key in ("foo", "eta"):
+            with pytest.raises(UsageError, match=f"unknown config key '{key}'"):
+                build_config({key: "1"}, "solve")
+        cfg = write_cfg(tmp_path / "c.cfg", n=8, eta="1e-8")
+        out = tmp_path / "o"
+        assert main(["certify", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "gradflux: unknown config key 'eta'\n"
+        assert not out.exists()
 
     def test_out_of_place_key_rejected(self):
         with pytest.raises(UsageError, match="not used by 'solve'"):
@@ -84,7 +91,7 @@ class TestConfigParsing:
 
     @pytest.mark.parametrize("key, value, command", [
         ("lambda", "nan", "solve"), ("lambda", "inf", "solve"), ("tol", "nan", "solve"),
-        ("delta", "nan", "solve"), ("eta", "-inf", "certify"),
+        ("delta", "nan", "solve"),
         ("deltas", "0.01, nan", "table1"), ("epsilons", "inf, 0.01", "sweep")])
     def test_non_finite_numbers_rejected(self, key, value, command, tmp_path, capsys):
         with pytest.raises(UsageError, match=f"key '{key}' must be finite"):
@@ -97,7 +104,6 @@ class TestConfigParsing:
         ("n", "1", "solve", "grid needs an integer n >= 2, got n=1"),
         ("tol", "0", "solve", "tol must be positive and finite"),
         ("max_iter", "-1", "table1", "max_iter must be nonnegative"),
-        ("eta", "0", "certify", "eta must be positive and finite"),
         ("epsilons", "-0.01", "sweep", "epsilons must be nonnegative and finite")])
     def test_out_of_range_rejected_by_library_rule(
         self, key, value, command, message, tmp_path, capsys
@@ -111,12 +117,12 @@ class TestConfigParsing:
         assert not out.exists()
 
     def test_solver_and_sweep_built_from_the_keys(self):
-        raw = {"lambda": "0.5", "tol": "1e-6", "max_iter": "300", "eta": "1e-6",
+        raw = {"lambda": "0.5", "tol": "1e-6", "max_iter": "300",
                "param": "a", "epsilons": "0.02, 0.01", "mode": "noise", "seeds": "0, 1"}
         cfg = build_config(raw, "sweep")
         solver = SolverConfig(lam=0.5, tol=1e-6, max_iter=300)
         assert cfg.solver == solver
-        assert cfg.sweep == SweepSpec("a", (0.02, 0.01), "noise", (0, 1), solver, eta=1e-6)
+        assert cfg.sweep == SweepSpec("a", (0.02, 0.01), "noise", (0, 1), solver)
         with pytest.raises(AttributeError):
             cfg.sweep = cfg.sweep
 

@@ -16,7 +16,7 @@ from gradflux import (
     norm,
     primal_energy,
 )
-from gradflux.duality import ETA, divergence_residual_l1
+from gradflux.duality import divergence_residual_l1
 
 EXACT_ENERGY = 79.0 / 36.0  # 13/6 from the weight term plus 1/36 from the forcing
 
@@ -52,14 +52,6 @@ class TestFlux:
         assert not fp.mask.any()
         assert np.all(fp.J.x.values == 0.0)
         assert np.all(fp.sigma.values == 0.0)
-
-    @pytest.mark.parametrize("eta", [np.nan, np.inf, 0.0, -1e-8])
-    def test_bad_eta_rejected_by_flux_and_certify(self, eta):
-        p = example1(GridSpec(16))
-        with pytest.raises(ValueError, match="eta must be positive and finite"):
-            flux(p.exact_u, p, eta)
-        with pytest.raises(ValueError, match="eta must be positive and finite"):
-            certify(p.exact_u, p, eta)
 
     def test_flux_magnitude_equals_weight_on_mask(self, prob100, solved100):
         fp = flux(solved100.state.u, prob100)
@@ -132,14 +124,15 @@ class TestCertify:
         assert float(parsed["gap"]) == cert.gap
 
 
-def _inline_certificate(u, p, eta):
-    """flux, primal_energy and certify written out as plain array formulas."""
+def _inline_certificate(u, p):
+    """flux, primal_energy and certify written out as plain array formulas,
+    with the mask at the safeguard 1e-8."""
     G = p.grid
     h = G.h
     g = gradient(u)
     gx, gy = g.x.values + p.F.x.values, g.y.values + p.F.y.values
     mag = np.hypot(gx, gy)
-    mask = mag >= eta
+    mask = mag >= 1e-8
     sigma = np.where(mask, p.a.values / np.where(mask, mag, 1.0), 0.0)
     jx, jy = sigma * gx, sigma * gy
     quad = np.ones(G.n + 1)
@@ -163,17 +156,29 @@ def test_flux_and_certificate_bit_identical_to_inline_formulas(n):
     p = example1(g)
     noise = np.zeros(g.shape)
     noise[1:-1, 1:-1] = np.random.default_rng(n).standard_normal((n - 1, n - 1))
-    candidates = [p.exact_u, ScalarField(g, p.exact_u.values + 0.05 * noise)]
-    for u in candidates:
-        for eta in (ETA, 1.5):  # eta = 1.5 masks part of the perturbed candidate
-            arrays, primal, cert = _inline_certificate(u, p, eta)
-            fp = flux(u, p, eta)
-            for mine, ref in zip((fp.J.x.values, fp.J.y.values, fp.sigma.values, fp.mask), arrays):
-                assert mine.tobytes() == ref.tobytes()
-            assert fp.energy == primal
-            assert primal_energy(u, p) == primal
-            assert certify(u, p, eta) == cert
-    assert not _inline_certificate(candidates[1], p, 1.5)[0][3].all()
+    # a drift F = gradient(phi) and a candidate equal to -phi on a patch, so
+    # that grad u + F is exactly zero, and masked, at the patch's inner nodes
+    phi = p.exact_u
+    drifted = ProblemData(g, a=p.a, F=gradient(phi), H=p.H)
+    lo, hi = n // 4, n // 4 + max(3, n // 4)
+    patched = phi.values.copy()
+    patched[lo:hi, lo:hi] *= -1.0
+    cases = [
+        (p, p.exact_u),
+        (p, ScalarField(g, p.exact_u.values + 0.05 * noise)),
+        (drifted, ScalarField(g, patched)),
+    ]
+    for q, u in cases:
+        arrays, primal, cert = _inline_certificate(u, q)
+        fp = flux(u, q)
+        for mine, ref in zip((fp.J.x.values, fp.J.y.values, fp.sigma.values, fp.mask), arrays):
+            assert mine.tobytes() == ref.tobytes()
+        assert fp.energy == primal
+        assert primal_energy(u, q) == primal
+        assert certify(u, q) == cert
+    assert not fp.mask[lo + 1, lo + 1]  # fp is the patched case's; an inner node of the patch
+    assert fp.sigma.values[lo + 1, lo + 1] == 0.0
+    assert fp.J.x.values[lo + 1, lo + 1] == fp.J.y.values[lo + 1, lo + 1] == 0.0
 
 
 class TestWeakDuality:
