@@ -53,7 +53,6 @@ class SolverState:
     u: ScalarField
     b: VectorField
     d: VectorField
-    k: int
 
     @staticmethod
     def initial(grid) -> "SolverState":
@@ -61,7 +60,6 @@ class SolverState:
             u=ScalarField.zeros(grid),
             b=VectorField.zeros(grid),
             d=VectorField.zeros(grid),
-            k=0,
         )
 
 
@@ -111,7 +109,7 @@ def iterate(
     gu = gradient(u_new)
     d_new = shrink_step(state.b, gu, p.F, p.a, lam)
     b_new = state.b + gu - d_new
-    return SolverState(u=u_new, b=b_new, d=d_new, k=state.k + 1)
+    return SolverState(u=u_new, b=b_new, d=d_new)
 
 
 def _relative_change(u_new: ScalarField, u_old: ScalarField) -> float:
@@ -133,15 +131,13 @@ def solve(p: ProblemData, cfg: SolverConfig, solver: PoissonSolver) -> SolveResu
         [] if cfg.record_history else None
     )
     converged = False
-    for _ in range(cfg.max_iter):
+    k = 0
+    while k < cfg.max_iter and not converged:
         new = iterate(state, p, cfg, solver)
+        k += 1
         rel = _relative_change(new.u, state.u)
         if history is not None:
-            history.append((new.k, rel, primal_energy(new.u, p)))
+            history.append((k, rel, primal_energy(new.u, p)))
         state = new
-        if rel < cfg.tol:
-            converged = True
-            break
-    return SolveResult(
-        state=state, converged=converged, iterations=state.k, history=history
-    )
+        converged = rel < cfg.tol
+    return SolveResult(state=state, converged=converged, iterations=k, history=history)

@@ -39,7 +39,7 @@ import argparse
 import errno
 import os
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -126,7 +126,7 @@ def _build_problem(
 
 
 def _write_certificate(out: Path, cert: Certificate, comments) -> None:
-    d = cert.as_dict()
+    d = asdict(cert)
     _write_csv(out / "certificate.csv", comments, tuple(d), [tuple(d.values())])
     (out / "certificate.txt").write_text(cert.as_text(), encoding="utf-8")
 

@@ -59,11 +59,8 @@ class Certificate:
     flux_bound_violation: float
 
     def as_text(self) -> str:
-        lines = [f"{k} = {fmt(v)}" for k, v in self.as_dict().items()]
+        lines = [f"{k} = {fmt(v)}" for k, v in asdict(self).items()]
         return "\n".join(lines) + "\n"
-
-    def as_dict(self) -> dict[str, float]:
-        return asdict(self)
 
 
 def _drift_gradient(u: ScalarField, p: ProblemData) -> tuple[np.ndarray, np.ndarray]:
