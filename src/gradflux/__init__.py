@@ -11,7 +11,6 @@ from .grid import (
     gradient,
     inner,
     integrate,
-    laplacian,
     norm,
 )
 from .levelset import level_set_length, level_set_lengths

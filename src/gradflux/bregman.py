@@ -2,7 +2,7 @@
 
 Each sweep performs one Dirichlet Poisson solve
 
-    laplacian(u) = div(d - b) + H / lam,
+    divergence(gradient(u)) = div(d - b) + H / lam,
 
 then the pointwise shrinkage producing the splitting variable d, and the
 Bregman update b <- b + grad(u) - d.  The shrinkage folds the drift into d

@@ -116,13 +116,11 @@ def dual_value(J: VectorField, F: VectorField) -> float:
     return integrate(ScalarField.adopt(J.grid, dots))
 
 
-def divergence_residual_l1(
-    J: VectorField, H: ScalarField, mask: np.ndarray | None = None
-) -> float:
+def divergence_residual_l1(J: VectorField, H: ScalarField, mask: np.ndarray) -> float:
     """Interior L1 norm of div J - H, restricted to nodes whose backward
     stencil (the node itself, its west and its south neighbor) is unmasked."""
     r = np.subtract(divergence(J).values, H.values)
-    ok = None if mask is None else mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[1:-1, :-2]
+    ok = mask[1:-1, 1:-1] & mask[:-2, 1:-1] & mask[1:-1, :-2]
     return interior_l1(J.grid, np.abs(r, out=r), ok)
 
 

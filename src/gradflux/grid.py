@@ -38,7 +38,6 @@ __all__ = [
     "gradient",
     "gradient_arrays",
     "divergence",
-    "laplacian",
     "norm",
     "interior_l1",
     "inner",
@@ -129,11 +128,6 @@ class ScalarField:
     def full(grid: GridSpec, value: float) -> "ScalarField":
         return ScalarField.adopt(grid, np.full(grid.shape, float(value)))
 
-    @staticmethod
-    def from_function(grid: GridSpec, fn) -> "ScalarField":
-        x, y = grid.meshgrid()
-        return ScalarField(grid, np.asarray(fn(x, y), dtype=float))
-
     def boundary_values(self) -> np.ndarray:
         v = self.values
         return np.concatenate([v[0, :], v[-1, :], v[1:-1, 0], v[1:-1, -1]])
@@ -161,10 +155,6 @@ class VectorField:
     @property
     def grid(self) -> GridSpec:
         return self.x.grid
-
-    @staticmethod
-    def from_arrays(grid: GridSpec, vx: np.ndarray, vy: np.ndarray) -> "VectorField":
-        return VectorField(ScalarField(grid, vx), ScalarField(grid, vy))
 
     @staticmethod
     def zeros(grid: GridSpec) -> "VectorField":
@@ -224,11 +214,6 @@ def divergence(p: VectorField) -> ScalarField:
     dx += dy
     del dy
     return ScalarField.adopt(p.grid, dx)
-
-
-def laplacian(u: ScalarField) -> ScalarField:
-    """divergence(gradient(u)); the 5-point stencil at interior nodes."""
-    return divergence(gradient(u))
 
 
 def _pointwise_magnitude(field) -> np.ndarray:

@@ -50,7 +50,7 @@ class PoissonSolver:
         return s
 
     def solve_dirichlet(self, rhs: ScalarField) -> ScalarField:
-        """Solve laplacian(u) = rhs at interior nodes with u = 0 on the boundary.
+        """Solve divergence(gradient(u)) = rhs at interior nodes with u = 0 on the boundary.
 
         Only interior values of ``rhs`` enter the solve.
         """

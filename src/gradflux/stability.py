@@ -179,7 +179,6 @@ class StabilityReport:
     bounds: list[BoundCheck]
     shapes: dict[str, ShapeCheck]
     sigma1_est: float
-    base_result: SolveResult
 
 
 def fit_rate(points) -> RateFit:
@@ -274,8 +273,8 @@ def _solve_instances(
     if exact_u is not None:
         exact_norm = norm(exact_u, "l2")
     if base is not None:
-        base_problem, base_result = base
-        u0 = base_result.state.u
+        base_problem, base_solve = base
+        u0 = base_solve.state.u
         g0 = gradient(u0)
         base_flux = flux(u0, base_problem)
         sigma0 = base_flux.sigma.values.max(initial=0.0)
@@ -364,9 +363,7 @@ def run_sweep(
     }
     sigma1 = max((r.sigma1 for r in rows), default=0.0)
     bounds = _drift_bounds(valid, p.M) if spec.param == "f" else []
-    return StabilityReport(
-        rows=rows, fits=fits, bounds=bounds, shapes=shapes, sigma1_est=sigma1, base_result=base
-    )
+    return StabilityReport(rows=rows, fits=fits, bounds=bounds, shapes=shapes, sigma1_est=sigma1)
 
 
 def table1_experiment(

@@ -280,8 +280,9 @@ def write_constant_files(tmp_path, n, a=1.0, h=0.5, h_n=None):
 class TestFilesProblem:
     def test_solve_from_field_files(self, tmp_path):
         g = GridSpec(24)
-        a = ScalarField.from_function(g, lambda x, y: 1.0 + x)
-        f = ScalarField.from_function(g, lambda x, y: 0.2 * x * y)
+        x, y = g.meshgrid()
+        a = ScalarField(g, 1.0 + x)
+        f = ScalarField(g, 0.2 * x * y)
         h = ScalarField.full(g, 0.5)
         write_field(a, tmp_path / "a.field", kind="a")
         write_field(f, tmp_path / "f.field", kind="f")

@@ -43,15 +43,16 @@ def _saddle_count(v, t):
 
 
 _RNG = np.random.default_rng(20261018)
+_X40, _ = GridSpec(40).meshgrid()
+_X37, _Y37 = GridSpec(37).meshgrid()
+_X60, _Y60 = GridSpec(60).meshgrid()
 ORACLE_FIELDS = {
     "random": ScalarField(GridSpec(48), _RNG.standard_normal((49, 49))),
     # half-integer values: at the levels 0 and 0.5 many nodes sit exactly on t
     "integer": ScalarField(GridSpec(40), _RNG.integers(-3, 4, (41, 41)) / 2.0),
-    "x": ScalarField.from_function(GridSpec(40), lambda x, y: x),
-    "x+y": ScalarField.from_function(GridSpec(37), lambda x, y: x + y),
-    "circle": ScalarField.from_function(
-        GridSpec(60), lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2
-    ),
+    "x": ScalarField(GridSpec(40), _X40),
+    "x+y": ScalarField(GridSpec(37), _X37 + _Y37),
+    "circle": ScalarField(GridSpec(60), (_X60 - 0.5) ** 2 + (_Y60 - 0.5) ** 2),
     "constant": ScalarField.full(GridSpec(12), 3.0),
 }
 
@@ -110,33 +111,38 @@ def test_oracle_inputs_cover_saddles_and_grid_line_contours():
 
 def test_vertical_line():
     g = GridSpec(100)
-    v = ScalarField.from_function(g, lambda x, y: x)
+    x, _ = g.meshgrid()
+    v = ScalarField(g, x)
     assert level_set_length(v, 0.5) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_line_not_on_grid_nodes():
     g = GridSpec(101)
-    v = ScalarField.from_function(g, lambda x, y: x)
+    x, _ = g.meshgrid()
+    v = ScalarField(g, x)
     assert level_set_length(v, 0.5) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_diagonal_line():
     g = GridSpec(64)
-    v = ScalarField.from_function(g, lambda x, y: x + y)
+    x, y = g.meshgrid()
+    v = ScalarField(g, x + y)
     assert level_set_length(v, 1.0) == pytest.approx(np.sqrt(2.0), rel=1e-6)
 
 
 def test_circle_circumference():
     # oracle: the level set is a circle of radius 0.2, circumference 2 pi 0.2
     g = GridSpec(100)
-    v = ScalarField.from_function(g, lambda x, y: (x - 0.5) ** 2 + (y - 0.5) ** 2)
+    x, y = g.meshgrid()
+    v = ScalarField(g, (x - 0.5) ** 2 + (y - 0.5) ** 2)
     length = level_set_length(v, 0.04)
     assert length == pytest.approx(2 * np.pi * 0.2, rel=0.02)
 
 
 def test_out_of_range_level_is_empty():
     g = GridSpec(30)
-    v = ScalarField.from_function(g, lambda x, y: x)
+    x, _ = g.meshgrid()
+    v = ScalarField(g, x)
     assert level_set_length(v, v.values.max() + 1.0) == 0.0
     assert level_set_length(v, v.values.min() - 1.0) == 0.0
 
@@ -160,7 +166,8 @@ def test_length_bound_stable_under_refinement():
 
 def test_lengths_table_shape():
     g = GridSpec(40)
-    v = ScalarField.from_function(g, lambda x, y: x * y)
+    x, y = g.meshgrid()
+    v = ScalarField(g, x * y)
     table = level_set_lengths(v)
     assert len(table) == levelset.LEVELS == 50
     assert all(length >= 0.0 for _, length in table)

@@ -32,7 +32,8 @@ class TestNoiseScalar:
     @settings(max_examples=25, deadline=None)
     def test_relative_change_equals_level_exactly(self, delta, seed):
         g = GridSpec(12)
-        f = ScalarField.from_function(g, lambda x, y: 1.0 + x + y * y)
+        x, y = g.meshgrid()
+        f = ScalarField(g, 1.0 + x + y * y)
         out = noise_scalar(f, delta, seed)
         rel = frob(out.values - f.values) / frob(f.values)
         assert rel == pytest.approx(delta, rel=1e-12)
@@ -118,7 +119,8 @@ class TestPerturbPotential:
     # make_perturbed moves a drift through its potential: F + grad_h df
     def test_zero_amplitude_identity(self):
         g = GridSpec(16)
-        f = ScalarField.from_function(g, lambda x, y: x + y * y)
+        x, y = g.meshgrid()
+        f = ScalarField(g, x + y * y)
         p = ProblemData(g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g))
         pp = make_perturbed(p, "f", 0.0)
         assert np.array_equal(pp.perturbed.F.x.values, p.F.x.values)
@@ -159,7 +161,8 @@ class TestMakePerturbed:
         # the base drift is the gradient of a potential f; the size is
         # that of the change grad df, whatever the base drift
         g = GridSpec(16)
-        f = ScalarField.from_function(g, lambda x, y: np.cos(x) * y)
+        x, y = g.meshgrid()
+        f = ScalarField(g, np.cos(x) * y)
         p = ProblemData(g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g))
         pp = make_perturbed(p, "f", 0.05)
         assert pp.measured_sizes.keys() == {"F_l1"}
@@ -170,10 +173,10 @@ class TestMakePerturbed:
     def test_conservative_drift_perturbation_with_potential(self):
         # a drift F = grad f moves to grad(f + df), up to roundoff
         g = GridSpec(16)
-        f = ScalarField.from_function(g, lambda x, y: x * y)
+        x, y = g.meshgrid()
+        f = ScalarField(g, x * y)
         p = ProblemData(g, a=ScalarField.full(g, 1.0), F=gradient(f), H=ScalarField.zeros(g))
         pp = make_perturbed(p, "f", 0.05)
-        x, y = g.meshgrid()
         df = ScalarField(g, 0.05 * np.sin(np.pi * x) * np.sin(np.pi * y))
         moved = gradient(ScalarField(g, f.values + df.values))
         assert norm(pp.perturbed.F - moved, "linf") <= 1e-13

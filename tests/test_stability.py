@@ -176,7 +176,7 @@ class TestRunSweepSmall:
             param="a", epsilons=(0.05, 0.02), mode="noise", seeds=(0, 1), solver=FAST
         )
         report = run_sweep(p, spec, poisson)
-        base_max = flux(report.base_result.state.u, p).sigma.values.max()
+        base_max = flux(solve(p, FAST, poisson).state.u, p).sigma.values.max()
         for row in report.rows:
             pp = make_perturbed(p, "a", row.eps, "noise", row.seed)
             assert row.measured_sizes == pp.measured_sizes
@@ -188,13 +188,25 @@ class TestRunSweepSmall:
             assert row.max_err == norm(diff, "linf")
         assert report.sigma1_est == max(r.sigma1 for r in report.rows)
 
-    def test_reuses_supplied_base_solve(self):
+    def test_reuses_supplied_base_solve(self, monkeypatch, same_row):
         g = GridSpec(16)
         p = example1(g)
         poisson = PoissonSolver(g)
+        spec = SweepSpec(param="a", epsilons=(0.02,), solver=FAST)
         base = solve(p, FAST, poisson)
-        report = run_sweep(p, SweepSpec(param="a", epsilons=(0.02,), solver=FAST), poisson, base=base)
-        assert report.base_result is base
+        calls = []
+
+        def counting_solve(*args):
+            calls.append(args[0])
+            return solve(*args)
+
+        monkeypatch.setattr(gradflux.stability, "solve", counting_solve)
+        with_base = run_sweep(p, spec, poisson, base=base)
+        assert [q is p for q in calls] == [False]
+        calls.clear()
+        without_base = run_sweep(p, spec, poisson)
+        assert [q is p for q in calls] == [True, False]
+        assert len(with_base.rows) == 1 and same_row(with_base.rows[0], without_base.rows[0])
 
 
 def test_conservative_drift_sweep_matches_closed_form():
