@@ -106,7 +106,7 @@ def _build_problem(
     else:
         paths = {"a_file": cfg.a_file, "h_file": cfg.h_file, "f_file": cfg.f_file}
         a, h, potential = (
-            None if path is None else read_field_meta(path)[0] for path in paths.values()
+            None if path is None else read_field_meta(path) for path in paths.values()
         )
         drift = VectorField.zeros(a.grid) if potential is None else gradient(potential)
         try:
@@ -119,7 +119,7 @@ def _build_problem(
             cfg.n = grid.n
         elif cfg.n != grid.n:
             raise UsageError(f"key 'n' = {cfg.n} does not match the field files' n={grid.n}")
-    u = None if cfg.u_file is None else read_field_meta(cfg.u_file)[0]
+    u = None if cfg.u_file is None else read_field_meta(cfg.u_file)
     if u is not None and u.grid != grid:
         raise UsageError(f"grid mismatch: u_file has n={u.grid.n}, problem has n={grid.n}")
     return p, potential, u
@@ -140,13 +140,13 @@ def _cmd_solve(cfg: RunConfig, out: Path) -> str | None:
     res = solve(p, replace(cfg.solver, record_history=True), PoissonSolver(p.grid))
     comments = resolved_lines(cfg, "solve")
     _write_csv(out / "history.csv", comments, HISTORY_COLUMNS, res.history or [])
-    write_field(res.state.u, out / "solution.field", kind="u", problem=p.name)
-    write_field(p.a, out / "a.field", kind="a", problem=p.name)
-    write_field(p.H, out / "h.field", kind="h", problem=p.name)
+    write_field(res.state.u, out / "solution.field")
+    write_field(p.a, out / "a.field")
+    write_field(p.H, out / "h.field")
     if potential is not None:
-        write_field(potential, out / "f.field", kind="f", problem=p.name)
+        write_field(potential, out / "f.field")
     if exact is not None:
-        write_field(exact, out / "u_exact.field", kind="u_exact", problem=p.name)
+        write_field(exact, out / "u_exact.field")
     _write_certificate(out, certify(res.state.u, p), comments)
     if not res.converged:
         return f"solve stopped at max_iter={cfg.max_iter} without meeting tol={cfg.tol:g}"
@@ -279,9 +279,9 @@ def _cmd_plotdata(cfg: RunConfig, out: Path) -> None:
     rows = _read_history_csv(history) if history.exists() else None
     surfaces = []
     if solution.exists():
-        u = read_field_meta(solution)[0]
+        u = read_field_meta(solution)
         surfaces.append(("solution", "numerical solution", u))
-        ue = read_field_meta(exact)[0] if exact.exists() else None
+        ue = read_field_meta(exact) if exact.exists() else None
         if ue is not None and ue.grid == u.grid:
             surfaces += [("exact", "exact solution", ue), ("error", "error", u - ue)]
 

@@ -227,15 +227,15 @@ class TestCertifyCommand:
 
     def test_non_finite_u_file_reported(self, tmp_path, capsys):
         upath = tmp_path / "u.field"
-        write_field(example1(GridSpec(4)).exact_u, upath)
-        lines = upath.read_text().splitlines()
-        lines[3] = "0 0.5 nan 0.5 0"
-        upath.write_text("\n".join(lines) + "\n")
+        values = example1(GridSpec(4)).exact_u.values.copy()
+        values[2, 2] = np.nan
+        with open(upath, "wb") as f:
+            np.save(f, values)
         ccfg = write_cfg(
             tmp_path / "cert.cfg", problem="example1", n=4, u_file=str(upath)
         )
         assert main(["certify", "--config", ccfg, "--out", str(tmp_path / "o")]) == 1
-        assert f"gradflux: {upath}:4: non-finite value nan" in capsys.readouterr().err
+        assert f"gradflux: {upath}: non-finite value nan at node (2, 2)" in capsys.readouterr().err
 
     def test_u_file_must_vanish_on_the_boundary(self, tmp_path, capsys):
         upath = tmp_path / "u.field"
@@ -256,11 +256,14 @@ class TestCertifyCommand:
 
 class TestUndecodableInput:
     def test_contour_on_undecodable_field_exits_1(self, tmp_path, capsys):
+        """A field file in the text format of earlier versions gets one line."""
         upath = tmp_path / "u.field"
         upath.write_bytes(b"gradflux-field n=2 kind=u problem=t\n0 0 0\n0 \xff 0\n0 0 0\n")
         cfg = write_cfg(tmp_path / "c.cfg", problem="example1", n=2, u_file=str(upath))
         assert main(["contour", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-        assert f"gradflux: {upath}: not UTF-8 text" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith(f"gradflux: {upath}: not a field file (the magic string")
+        assert len(err.splitlines()) == 1
 
     def test_solve_on_undecodable_config_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "c.cfg"
@@ -272,8 +275,8 @@ class TestUndecodableInput:
 
 
 def write_constant_files(tmp_path, n, a=1.0, h=0.5, h_n=None):
-    write_field(ScalarField.full(GridSpec(n), a), tmp_path / "a.field", kind="a")
-    write_field(ScalarField.full(GridSpec(h_n or n), h), tmp_path / "h.field", kind="h")
+    write_field(ScalarField.full(GridSpec(n), a), tmp_path / "a.field")
+    write_field(ScalarField.full(GridSpec(h_n or n), h), tmp_path / "h.field")
     return dict(problem="files", a_file=tmp_path / "a.field", h_file=tmp_path / "h.field")
 
 
@@ -284,9 +287,9 @@ class TestFilesProblem:
         a = ScalarField(g, 1.0 + x)
         f = ScalarField(g, 0.2 * x * y)
         h = ScalarField.full(g, 0.5)
-        write_field(a, tmp_path / "a.field", kind="a")
-        write_field(f, tmp_path / "f.field", kind="f")
-        write_field(h, tmp_path / "h.field", kind="h")
+        write_field(a, tmp_path / "a.field")
+        write_field(f, tmp_path / "f.field")
+        write_field(h, tmp_path / "h.field")
         cfg = write_cfg(
             tmp_path / "solve.cfg",
             problem="files",
@@ -297,7 +300,7 @@ class TestFilesProblem:
         )
         out = tmp_path / "run"
         assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
-        u = read_field_meta(out / "solution.field")[0]
+        u = read_field_meta(out / "solution.field")
         assert u.grid == g
         assert np.abs(u.boundary_values()).max() == 0.0
         assert (out / "f.field").exists()
@@ -309,8 +312,8 @@ class TestFilesProblem:
 
     def test_noise_on_zero_drift_reported(self, tmp_path, capsys):
         g = GridSpec(8)
-        write_field(ScalarField.full(g, 1.0), tmp_path / "a.field", kind="a")
-        write_field(ScalarField.full(g, 0.5), tmp_path / "h.field", kind="h")
+        write_field(ScalarField.full(g, 1.0), tmp_path / "a.field")
+        write_field(ScalarField.full(g, 0.5), tmp_path / "h.field")
         cfg = write_cfg(
             tmp_path / "solve.cfg",
             problem="files",
@@ -331,8 +334,8 @@ class TestFilesProblem:
         g = GridSpec(8)
         a = np.ones(g.shape)
         a[3, 4] = bad
-        write_field(ScalarField(g, a), tmp_path / "a.field", kind="a")
-        write_field(ScalarField.full(g, 0.5), tmp_path / "h.field", kind="h")
+        write_field(ScalarField(g, a), tmp_path / "a.field")
+        write_field(ScalarField.full(g, 0.5), tmp_path / "h.field")
         cfg = write_cfg(
             tmp_path / "run.cfg",
             problem="files",
@@ -365,8 +368,8 @@ class TestFilesProblem:
         assert not (out / "f.field").exists()  # no f_file, no potential
 
     def test_mismatched_field_grids_reported(self, tmp_path, capsys):
-        write_field(ScalarField.full(GridSpec(8), 1.0), tmp_path / "a.field", kind="a")
-        write_field(ScalarField.zeros(GridSpec(9)), tmp_path / "h.field", kind="h")
+        write_field(ScalarField.full(GridSpec(8), 1.0), tmp_path / "a.field")
+        write_field(ScalarField.zeros(GridSpec(9)), tmp_path / "h.field")
         cfg = write_cfg(
             tmp_path / "solve.cfg",
             problem="files",
@@ -443,8 +446,8 @@ class TestSweepCommand:
 
     def test_noise_on_zero_forcing_rejected_before_solve(self, tmp_path, capsys, monkeypatch):
         g = GridSpec(8)
-        write_field(ScalarField.full(g, 1.0), tmp_path / "a.field", kind="a")
-        write_field(ScalarField.zeros(g), tmp_path / "h.field", kind="h")
+        write_field(ScalarField.full(g, 1.0), tmp_path / "a.field")
+        write_field(ScalarField.zeros(g), tmp_path / "h.field")
         cfg = write_cfg(
             tmp_path / "sweep.cfg",
             problem="files",
@@ -623,14 +626,15 @@ def undecodable_history(out):
     return f"{out / 'history.csv'}: cannot read history"
 
 
-def bad_solution_token(out):
-    rewrite_line(out / "solution.field", 2, lambda line: "x" + line[line.index(" "):])
-    return f"{out / 'solution.field'}:3: cannot parse value 'x'"
+def truncated_solution(out):
+    path = out / "solution.field"
+    path.write_bytes(path.read_bytes()[:-8])
+    return f"{path}: not a field file (shape (13, 13) needs 1352 bytes of values, file holds 1344)"
 
 
 def malformed_exact(out):
-    (out / "u_exact.field").write_text("not a field\n")
-    return f"{out / 'u_exact.field'}:1: malformed header"
+    (out / "u_exact.field").write_text("gradflux-field n=12 kind=u_exact problem=example1\n")
+    return f"{out / 'u_exact.field'}: not a field file (the magic string"
 
 
 def plots_file(out):
@@ -640,7 +644,7 @@ def plots_file(out):
 
 # Each damages a copy of a solve directory and returns the start of the error it must cause.
 PLOTDATA_DAMAGE = {
-    "solution-token": bad_solution_token,
+    "solution-truncated": truncated_solution,
     "history-two-columns": bad_history_row("1,abc"),
     "history-not-numbers": bad_history_row("a,b,c"),
     "history-not-utf8": undecodable_history,
@@ -670,7 +674,7 @@ class TestPlotdataCommand:
         first = (plots / "convergence.dat").read_text().splitlines()[0]
         assert first.startswith("1 ")
         # the streamed surface equals the same lines built as one joined string
-        u = read_field_meta(out / "solution.field")[0]
+        u = read_field_meta(out / "solution.field")
         ax = u.grid.axis()
         lines = []
         for i, x in enumerate(ax):
